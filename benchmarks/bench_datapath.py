@@ -177,93 +177,19 @@ def test_compression_stage_cost(benchmark):
 
 
 def test_datapath_shard(benchmark):
-    """Single-pipeline batched engine vs sharded parallel execution.
+    """Single-pipeline batched engine vs the sharded worker pool, warm.
 
     Runs the Fig. 14a heavy-hitter workload through two identical
-    deployments -- once as sequential column batches, once sharded over 4
-    worker replicas with exact register merging -- verifies registers match
-    bit-for-bit, and persists the speedup to ``BENCH_datapath_shard.json``.
-
-    The >=2x speedup bound only applies when the machine actually has the
-    cores to parallelize over (cpu_count >= 4); single-core runners still
-    assert correctness and record the measured numbers.
-    """
-    num_packets = int(os.environ.get("FLYMON_BENCH_PACKETS", "0")) or (
-        400_000 if os.environ.get("FLYMON_FULL", "") == "1" else 40_000
-    )
-    workers = 4
-    batch_size = 8192
-    trace = zipf_trace(num_flows=2_000, num_packets=num_packets, seed=14)
-
-    batched = _heavy_hitter_controller()
-    sharded = _heavy_hitter_controller()
-
-    def compare():
-        start = time.perf_counter()
-        batched.process_trace(trace, batch_size=batch_size)
-        batch_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        report = sharded.process_trace_sharded(
-            trace, workers=workers, batch_size=batch_size
-        )
-        shard_seconds = time.perf_counter() - start
-        return batch_seconds, shard_seconds, report
-
-    (batch_seconds, shard_seconds, report), _total = run_once_timed(
-        benchmark, compare
-    )
-    assert report.fallback is None
-    assert report.shards == workers
-
-    # Bit-identical merged register state is the sharding layer's contract.
-    identical = True
-    for group_batch, group_shard in zip(batched.groups, sharded.groups):
-        for cmu_batch, cmu_shard in zip(group_batch.cmus, group_shard.cmus):
-            reg_batch, reg_shard = cmu_batch.register, cmu_shard.register
-            same = (
-                reg_batch.read_range(0, reg_batch.size)
-                == reg_shard.read_range(0, reg_shard.size)
-            ).all()
-            identical = identical and bool(same)
-            assert same
-
-    batch_pps = num_packets / batch_seconds if batch_seconds else None
-    shard_pps = num_packets / shard_seconds if shard_seconds else None
-    speedup = (
-        batch_seconds / shard_seconds if batch_seconds and shard_seconds else None
-    )
-    cpu_count = os.cpu_count() or 1
-    write_bench_json(
-        "datapath_shard",
-        batch_seconds=batch_seconds,
-        shard_seconds=shard_seconds,
-        batch_pps=batch_pps,
-        shard_pps=shard_pps,
-        speedup_vs_batched=speedup,
-        workers=workers,
-        backend=report.backend,
-        cpu_count=cpu_count,
-        identical=identical,
-        num_packets=num_packets,
-        batch_size=batch_size,
-        params={"tasks": 1, "algorithm": "cms", "depth": 3},
-    )
-    assert speedup is not None
-    if cpu_count >= workers:
-        assert speedup > 2.0
-
-
-def test_datapath_shard_persistent(benchmark):
-    """Batched engine vs the *persistent* worker pool, warm.
-
-    The cold pass (fork + replica build) is timed separately; the measured
+    deployments -- once as sequential column batches, once sharded over the
+    controller's resident worker pool with exact register merging -- and
+    verifies registers match bit-for-bit.  The cold pass (fork + replica build) is timed separately; the measured
     pass is the steady state an epoch-rotating service actually pays --
     delta sync, shared-memory column copies, compute, snapshot-out.  Both
     deployments process the trace twice so the accumulated register state
     stays comparable, and the warm report must show ``build_ms == 0`` on
     every shard (the replicas were not rebuilt).
 
-    Persists ``BENCH_datapath_shard_persistent.json``.  The speedup bound
+    Persists ``BENCH_datapath_shard.json``.  The speedup bound
     (warm pool at least matches the batched single pipeline) only applies
     when the machine has the cores (cpu_count >= workers).
     """
@@ -283,14 +209,10 @@ def test_datapath_shard_persistent(benchmark):
         batched.process_trace(trace, batch_size=batch_size)
         start = time.perf_counter()
         cold_report = pooled.process_trace_sharded(
-            trace,
-            workers=workers,
-            batch_size=batch_size,
-            backend="process",
-            runtime="persistent",
+            trace, workers=workers, batch_size=batch_size
         )
         cold_seconds = time.perf_counter() - start
-        assert cold_report.runtime == "persistent"
+        assert cold_report.backend == "process"
         assert cold_report.fallback is None
 
         def compare():
@@ -299,11 +221,7 @@ def test_datapath_shard_persistent(benchmark):
             batch_seconds = time.perf_counter() - start
             start = time.perf_counter()
             report = pooled.process_trace_sharded(
-                trace,
-                workers=workers,
-                batch_size=batch_size,
-                backend="process",
-                runtime="persistent",
+                trace, workers=workers, batch_size=batch_size
             )
             shard_seconds = time.perf_counter() - start
             return batch_seconds, shard_seconds, report
@@ -311,7 +229,8 @@ def test_datapath_shard_persistent(benchmark):
         (batch_seconds, shard_seconds, report), _total = run_once_timed(
             benchmark, compare
         )
-        assert report.runtime == "persistent"
+        assert report.backend == "process"
+        assert report.shards == workers
         assert all(t["build_ms"] == 0.0 for t in report.shard_timings)
 
         identical = True
@@ -332,7 +251,7 @@ def test_datapath_shard_persistent(benchmark):
     )
     cpu_count = os.cpu_count() or 1
     write_bench_json(
-        "datapath_shard_persistent",
+        "datapath_shard",
         batch_seconds=batch_seconds,
         shard_seconds=shard_seconds,
         cold_seconds=cold_seconds,
@@ -343,7 +262,6 @@ def test_datapath_shard_persistent(benchmark):
         transport_ms=sum(t["transport_ms"] for t in report.shard_timings),
         workers=workers,
         backend=report.backend,
-        runtime=report.runtime,
         cpu_count=cpu_count,
         identical=identical,
         num_packets=num_packets,

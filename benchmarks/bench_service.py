@@ -45,7 +45,7 @@ def deploy(controller):
     return cms, hll
 
 
-def stream(trace, epochs, workers, runtime=None, chunk=None):
+def stream(trace, epochs, workers, chunk=None):
     """Run the epoch-rotating service over ``trace``; ``epochs=1`` with a
     ``chunk`` gives the rotation-free control run whose ingest windows (and
     therefore shard dispatches) match the rotating run's exactly."""
@@ -59,7 +59,6 @@ def stream(trace, epochs, workers, runtime=None, chunk=None):
         epoch_packets=(len(trace) + 1) if epochs == 1 else len(trace) // epochs,
         retain=8,
         workers=workers,
-        runtime=runtime,
     )
     service.register_series("card", CardinalityQuery(hll))
     service.add_watcher(
@@ -105,14 +104,9 @@ def test_service_stream(benchmark, quick):
     import time
 
     results = {}
-    legs = [
-        ("workers1", 1, None),
-        ("workers2", 2, None),
-        ("workers2_persistent", 2, "persistent"),
-    ]
-    for name, workers, runtime in legs:
+    for name, workers in (("workers1", 1), ("workers2", 2)):
         start = time.perf_counter()
-        stats = stream(trace, epochs, workers, runtime=runtime)
+        stats = stream(trace, epochs, workers)
         seconds = time.perf_counter() - start
         assert stats["packets_total"] == len(trace)
         assert stats["epoch"] >= epochs
@@ -123,20 +117,18 @@ def test_service_stream(benchmark, quick):
         }
 
     # Isolate what rotation itself costs on the persistent pool: the same
-    # sharded persistent ingest fed in epoch-sized chunks but sealing only
-    # once, vs the epoch-rotating run.  Both legs pay identical fork /
+    # sharded ingest fed in epoch-sized chunks but sealing only once, vs
+    # the epoch-rotating run.  Both legs pay identical fork /
     # replica-build / shm / dispatch costs window for window, so the delta
     # is purely seal work (snapshot + digests + series + watchers + the
     # pool's in-place seal broadcast) times the epoch count.
     start = time.perf_counter()
-    stats = stream(
-        trace, 1, 2, runtime="persistent", chunk=len(trace) // epochs
-    )
+    stats = stream(trace, 1, 2, chunk=len(trace) // epochs)
     no_rotation_seconds = time.perf_counter() - start
     assert stats["packets_total"] == len(trace)
     persistent_rotation_pct = (
         100.0
-        * (results["workers2_persistent"]["seconds"] - no_rotation_seconds)
+        * (results["workers2"]["seconds"] - no_rotation_seconds)
         / no_rotation_seconds
     )
 
@@ -156,13 +148,6 @@ def test_service_stream(benchmark, quick):
         persistent_no_rotation_seconds=no_rotation_seconds,
         persistent_rotation_overhead_pct=persistent_rotation_pct,
         params={"packets": len(trace), "epochs": epochs},
-    )
-    # The pool's reason to exist: keeping workers resident must beat
-    # forking and rebuilding replicas for every window.  Small tolerance
-    # absorbs timer noise on loaded runners.
-    assert (
-        results["workers2_persistent"]["seconds"]
-        < results["workers2"]["seconds"] * 1.05
     )
     if not quick and (os.cpu_count() or 1) >= 2:
         # At paper scale (40k-packet epochs) in-place sealing must stay

@@ -101,14 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: FLYMON_WORKERS or 1). Worker register state is merged "
         "exactly, so results stay bit-identical to a sequential replay",
     )
-    run.add_argument(
-        "--shard-runtime",
-        choices=("ephemeral", "persistent"),
-        default=None,
-        help="sharded-replay runtime: ephemeral forks fresh workers per "
-        "call, persistent keeps a resident worker pool fed over shared "
-        "memory (default: FLYMON_SHARD_RUNTIME or ephemeral)",
-    )
 
     stats = sub.add_parser(
         "stats", help="telemetry snapshot: events, metrics, utilization"
@@ -221,14 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
         help="vectorized-engine chunk size (0 forces the scalar path)",
-    )
-    serve.add_argument(
-        "--shard-runtime",
-        choices=("ephemeral", "persistent"),
-        default=None,
-        help="sharded-ingest runtime (persistent keeps workers resident "
-        "across windows and epoch rotations; default: "
-        "FLYMON_SHARD_RUNTIME or ephemeral)",
     )
     serve.add_argument(
         "--chunk", type=int, default=32_768, metavar="N",
@@ -364,13 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size", type=int, default=None, metavar="N"
     )
     profile.add_argument(
-        "--shard-runtime",
-        choices=("ephemeral", "persistent"),
-        default=None,
-        help="sharded-datapath runtime (default: FLYMON_SHARD_RUNTIME "
-        "or ephemeral)",
-    )
-    profile.add_argument(
         "--chunk", type=int, default=32_768, metavar="N",
         help="stream workload: ingest chunk size (default: 32768)",
     )
@@ -415,13 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--epoch-size", type=int, default=None, metavar="N")
     top.add_argument("--workers", type=int, default=1, metavar="N")
     top.add_argument("--batch-size", type=int, default=None, metavar="N")
-    top.add_argument(
-        "--shard-runtime",
-        choices=("ephemeral", "persistent"),
-        default=None,
-        help="sharded-ingest runtime (default: FLYMON_SHARD_RUNTIME "
-        "or ephemeral)",
-    )
     top.add_argument(
         "--chunk", type=int, default=16_384, metavar="N",
         help="dashboard refresh granularity in packets (default: 16384)",
@@ -1123,7 +1093,6 @@ def cmd_serve(args) -> int:
             retain=args.retain,
             workers=args.workers,
             batch_size=args.batch_size,
-            runtime=getattr(args, "shard_runtime", None),
             max_stall_ms=getattr(args, "max_stall_ms", None),
         )
         if "hh" in refs:
@@ -1353,7 +1322,6 @@ def _build_stream_workload(args):
         retain=16,
         workers=args.workers,
         batch_size=args.batch_size,
-        runtime=getattr(args, "shard_runtime", None),
     )
     if "hh" in refs:
         service.register_series("heavy_hitters", HeavyHitterQuery(refs["hh"]))
@@ -1401,12 +1369,10 @@ def cmd_profile(args) -> int:
                 trace,
                 max(1, args.workers),
                 batch_size=args.batch_size,
-                runtime=getattr(args, "shard_runtime", None),
             )
             controller.close_shard_pool()
             wall_ms = (time.perf_counter() - t0) * 1e3
             backend = report.backend
-            runtime_label = report.runtime
         else:
             try:
                 trace, _controller, service, _refs = _build_stream_workload(args)
@@ -1421,9 +1387,6 @@ def cmd_profile(args) -> int:
             wall_ms = (time.perf_counter() - t0) * 1e3
             report = service.last_shard_report
             backend = report.backend if report is not None else "batched"
-            runtime_label = (
-                report.runtime if report is not None else "in-process"
-            )
             _controller.close_shard_pool()
     finally:
         telemetry.disable_recorder()
@@ -1432,8 +1395,7 @@ def cmd_profile(args) -> int:
     root = telemetry.aggregate_spans(spans)
     print(
         f"workload={args.workload} packets={len(trace)} "
-        f"workers={args.workers} backend={backend} "
-        f"runtime={runtime_label} spans={len(spans)}"
+        f"workers={args.workers} backend={backend} spans={len(spans)}"
     )
     print()
     print(telemetry.format_phase_tree(root, min_pct=args.min_pct))
@@ -1512,8 +1474,7 @@ def _top_frame(args, service, done: int, total: int, elapsed_s: float) -> str:
     report = service.last_shard_report
     if report is not None and report.shard_timings:
         lines.append(
-            f"shards   backend={report.backend} runtime={report.runtime}"
-            f" workers={report.workers}"
+            f"shards   backend={report.backend} workers={report.workers}"
             f"   retries={report.retries} timeouts={report.timeouts}"
         )
         for timing in report.shard_timings:
@@ -1998,12 +1959,14 @@ def cmd_demo() -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.traffic.batch import env_batch_size
+
     args = build_parser().parse_args(argv)
-    if getattr(args, "shard_runtime", None):
-        # Every layer below (controller, service, experiment drivers)
-        # resolves the runtime through repro.dataplane.shard_runtime, which
-        # reads this variable when no explicit argument is given.
-        os.environ["FLYMON_SHARD_RUNTIME"] = args.shard_runtime
+    try:
+        env_batch_size()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "list-algorithms":
         return cmd_list_algorithms()
     if args.command == "list-experiments":

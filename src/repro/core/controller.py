@@ -229,9 +229,9 @@ class FlyMonController:
             for cmu in group.cmus
         }
         self._handles: Dict[int, TaskHandle] = {}
-        # Persistent shard worker pool (lazily created by the persistent
-        # shard runtime); mutators flag it dirty so resident worker replicas
-        # re-sync, by delta, before the next sharded run.
+        # Persistent shard worker pool, lazily created by the first sharded
+        # run with workers > 1; it re-syncs its resident replicas, by delta,
+        # before every run.
         self._shard_pool = None
         # Committed reconfiguration history (add/remove/filter updates, in
         # execution order).  Replaying it on a fresh controller reproduces
@@ -292,7 +292,6 @@ class FlyMonController:
                 self._record_op("add", ref=handle.task_id, task=task_to_dict(task))
         elif _record:
             self._history_complete = False
-        self._notify_pool()
         return handle
 
     def _add_task_txn(
@@ -458,7 +457,6 @@ class FlyMonController:
                 )
         elif _record:
             self._history_complete = False
-        self._notify_pool()
         return handle
 
     def _add_task_pinned_txn(
@@ -607,7 +605,6 @@ class FlyMonController:
                 self._record_op("remove", ref=handle.task_id)
         elif _record:
             self._history_complete = False
-        self._notify_pool()
         return report
 
     def _record_op(self, op: str, **payload) -> None:
@@ -624,17 +621,6 @@ class FlyMonController:
 
     def remove_op_listener(self, listener) -> None:
         self._op_listeners.remove(listener)
-
-    def _notify_pool(self) -> None:
-        """Flag the persistent shard pool (if any) that rules changed.
-
-        Cheap and safe to over-call: the pool re-diffs its replica mirror
-        against the live groups on the next run, so a mutation that was
-        rolled back simply produces an empty delta.
-        """
-        pool = self._shard_pool
-        if pool is not None:
-            pool.mark_dirty()
 
     def _remove_task_txn(
         self, handle: TaskHandle, txn: ReconfigTransaction
@@ -711,7 +697,6 @@ class FlyMonController:
                 filter=new_filter.describe(),
                 rules=len(handle.rows),
             )
-        self._notify_pool()
         return handle
 
     def _update_task_filter_txn(
@@ -918,12 +903,10 @@ class FlyMonController:
         trace: Trace,
         workers: int,
         batch_size: Optional[int] = None,
-        backend: Optional[str] = None,
         collect_exports: bool = False,
         exact_exports: bool = False,
-        runtime: Optional[str] = None,
     ):
-        """Replay a trace through per-worker datapath replicas in parallel.
+        """Replay a trace through per-worker datapath replicas.
 
         Row shards run through cloned CMU groups; worker register state is
         merged back exactly (see :mod:`repro.dataplane.sharding`), so
@@ -931,57 +914,48 @@ class FlyMonController:
         replay bit for bit.  Returns the
         :class:`~repro.dataplane.sharding.ShardRunReport`.
 
-        ``runtime`` (or ``FLYMON_SHARD_RUNTIME``) selects ``"ephemeral"``
-        (fresh replicas per call) or ``"persistent"``, which keeps this
-        controller's long-lived worker pool attached across calls and
-        epochs (see :class:`~repro.dataplane.shard_pool.PersistentShardPool`).
+        ``workers > 1`` runs the shards on this controller's long-lived
+        worker pool, which stays attached across calls and epochs (see
+        :class:`~repro.dataplane.shard_pool.PersistentShardPool`) until
+        :meth:`close_shard_pool`; a single shard runs in-process.
         """
-        from repro.dataplane.sharding import (
-            RUNTIME_PERSISTENT,
-            run_sharded,
-            shard_runtime,
-        )
+        from repro.dataplane.sharding import run_sharded
 
-        runtime = shard_runtime(runtime)
-        pool = None
-        if runtime == RUNTIME_PERSISTENT:
-            pool = self.shard_pool(max(1, int(workers)), backend=backend)
+        workers = max(1, int(workers))
         return run_sharded(
             self.groups,
             trace,
             workers,
             batch_size=batch_size,
-            backend=backend,
             collect_exports=collect_exports,
             exact_exports=exact_exports,
-            runtime=runtime,
-            pool=pool,
+            pool=self.shard_pool(workers) if workers > 1 else None,
         )
 
-    def shard_pool(self, workers: int, backend: Optional[str] = None):
+    def shard_pool(self, workers: int):
         """The controller's persistent shard pool, (re)created on demand.
 
-        Returns ``None`` for the serial backend (which runs in-process and
-        needs no pool).  An existing pool is replaced when the requested
-        worker count or backend no longer matches.
+        An existing pool is replaced when the requested worker count no
+        longer matches.
         """
-        from repro.dataplane.sharding import BACKEND_SERIAL, _resolve_backend
         from repro.dataplane.shard_pool import PersistentShardPool
 
-        resolved = _resolve_backend(backend)
-        if resolved == BACKEND_SERIAL:
-            return None
         pool = self._shard_pool
-        if pool is not None and (
-            pool.closed or pool.workers != workers or pool.backend != resolved
-        ):
+        if pool is not None and (pool.closed or pool.workers != workers):
             pool.close()
-            pool = self._shard_pool = None
+            pool = None
         if pool is None:
-            pool = self._shard_pool = PersistentShardPool(
-                self.groups, workers, backend=resolved
-            )
+            pool = self._shard_pool = PersistentShardPool(self.groups, workers)
         return pool
+
+    def seal_shard_epoch(self, epoch_index: int) -> None:
+        """Epoch-rotation barrier for the attached shard pool (a no-op
+        without a live one): its resident replicas already self-reset after
+        every run, so this only confirms they are zeroed and catches a
+        wedged worker at the epoch boundary."""
+        pool = self._shard_pool
+        if pool is not None and not pool.closed:
+            pool.seal_epoch(epoch_index)
 
     def close_shard_pool(self) -> None:
         """Stop the persistent shard pool's workers, if one is attached."""

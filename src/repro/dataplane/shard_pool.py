@@ -1,20 +1,18 @@
 """Persistent shard worker pool: resident replicas + shared-memory transport.
 
-The ephemeral shard model (:mod:`repro.dataplane.sharding`) pays a full
-replica rebuild and a pickle round-trip of every register array on *every*
-``process_trace`` call -- the dominant cost of the parallel path and of
-epoch rotation.  This module keeps a pool of long-lived ``fork`` workers
-whose :class:`~repro.core.cmu_group.CmuGroup` replicas stay resident across
-runs and across epoch rotations:
+The pool is the sharded datapath's one parallel dispatcher: long-lived
+``fork`` workers whose :class:`~repro.core.cmu_group.CmuGroup` replicas stay
+resident across runs and across epoch rotations, so a window never pays a
+replica rebuild or a pickle round-trip of register arrays:
 
 * **control channel** -- a pipe per worker carries *deltas only*: the pool
-  mirrors the live groups as :class:`GroupReplicaSpec` tuples and, when the
-  controller reports a mutation, diffs the mirror against the live state
-  into ``remove`` / ``mask`` / ``install`` ops (ordered so re-installs
-  never collide) that every worker applies to its resident replica.
+  mirrors the live groups as :class:`GroupReplicaSpec` tuples and, before
+  every run, diffs the mirror against the live state into ``remove`` /
+  ``mask`` / ``install`` ops (ordered so re-installs never collide) that
+  every worker applies to its resident replica.
 * **data channel** -- packet columns go *into* each worker through a
-  per-worker anonymous ``mmap`` window (``FLYMON_SHARD_SHM_ROWS`` rows per
-  round, column-major ``int64``), and register state comes *back* through a
+  per-worker anonymous ``mmap`` window (:data:`SHM_ROWS` rows per round,
+  column-major ``int64``), and register state comes *back* through a
   per-worker output window laid out register-by-register in native dtype.
   Nothing on the hot path is pickled except journal records for
   replay-law tasks.
@@ -23,31 +21,31 @@ runs and across epoch rotations:
   rotated epoch needs no worker-side work at all beyond a ``seal``
   acknowledgement.
 
-Shards are contiguous per worker (the same ranges the ephemeral model
+Shards are contiguous per worker (the same ranges the in-process loop
 uses), each streamed through the input window in capacity-sized rounds, so
-journals, exports, and merge laws are bit-identical to the ephemeral path
-and a failed worker can be re-dispatched serially through the *existing*
-retry machinery (:func:`repro.dataplane.sharding._retry_serially`).  A dead
-or hung worker is terminated, its shard re-run serially, and the slot
-respawned from the mirror -- one bad worker never costs the run.
+journals, exports, and merge laws are bit-identical to the in-process path
+and a failed worker's shard is simply re-run there
+(:func:`repro.dataplane.sharding._retry_serially`).  A dead or hung worker
+is terminated, its shard re-run in-process, and the slot respawned from the
+mirror -- one bad worker never costs the run.
 
 When ``fork`` is unavailable (spawn-only platforms, sandboxes) the pool
-degrades to a thread mode with resident per-slot replicas and records the
-reason, surfaced as ``ShardRunReport.degraded``; it never crashes.
+starts no workers and says so through :meth:`PersistentShardPool.
+unusable_for`; ``run_sharded`` then runs the shards in-process and records
+the reason on ``ShardRunReport.degraded``.  It never crashes.
 """
 
 from __future__ import annotations
 
 import mmap
-import os
 import time
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.dataplane import sharding
 from repro.dataplane.sharding import (
-    BACKEND_PROCESS,
-    BACKEND_THREAD,
     GroupReplicaSpec,
     ShardJournal,
     ShardResult,
@@ -56,33 +54,20 @@ from repro.dataplane.sharding import (
     _execute_injection,
     _plan_injection,
     _retry_serially,
+    _run_shard_at,
+    _shard_timing,
     replica_specs,
-    shard_timeout,
 )
 from repro.telemetry import RECORDER as _RECORDER
 from repro.traffic.batch import PacketBatch
 
-#: Rows per worker the shared input window holds per round
-#: (``FLYMON_SHARD_SHM_ROWS``); traces larger than ``workers * rows``
-#: stream through in multiple rounds.
-DEFAULT_SHM_ROWS = 1 << 16
-
-_MIN_SHM_ROWS = 64
+#: Rows per worker the shared input window holds per round; traces larger
+#: than ``workers * rows`` stream through in multiple rounds.
+SHM_ROWS = 1 << 16
 
 
 class ShardPoolError(ShardingError):
     """Raised for invalid persistent-pool configuration or a closed pool."""
-
-
-def shm_rows() -> int:
-    """Input-window capacity in rows per worker."""
-    raw = os.environ.get("FLYMON_SHARD_SHM_ROWS", "").strip()
-    if not raw:
-        return DEFAULT_SHM_ROWS
-    try:
-        return max(_MIN_SHM_ROWS, int(raw))
-    except ValueError:
-        return DEFAULT_SHM_ROWS
 
 
 def _diff_specs(
@@ -311,67 +296,42 @@ class _ProcWorker:
 class PersistentShardPool:
     """Long-lived shard workers with resident replicas (see module docs).
 
-    ``backend`` requests ``process`` (default) or ``thread`` mode; a
-    ``process`` request on a platform without ``fork`` degrades to thread
-    mode with the reason kept on :attr:`degraded_reason`.  The pool mirrors
-    the live ``groups`` it was built from -- callers flag mutations with
-    :meth:`mark_dirty` (the controller does this from every transactional
-    mutator) and the next :meth:`sync` ships the delta to every worker.
+    The pool mirrors the live ``groups`` it was built from; every
+    :meth:`sync` re-derives their specs and ships the delta to every worker.
+    On a platform where the workers cannot be forked the pool holds none and
+    :meth:`unusable_for` says why.
     """
 
-    def __init__(self, groups, workers: int, backend: Optional[str] = None) -> None:
+    def __init__(self, groups, workers: int) -> None:
         if workers < 1:
             raise ShardPoolError("worker count must be >= 1")
-        backend = backend or BACKEND_PROCESS
-        if backend not in (BACKEND_PROCESS, BACKEND_THREAD):
-            raise ShardPoolError(
-                f"persistent pool backend must be process or thread, got {backend!r}"
-            )
-        self._groups = groups
-        self.workers = int(workers)
-        self.backend = backend
-        self.closed = False
-        self.degraded_reason: Optional[str] = None
-        self.seals = 0
-        self._dirty = False
-        self._mirror: List[GroupReplicaSpec] = replica_specs(groups)
-        self._fields: Tuple[str, ...] = ()
-        self._executor = None
-        self._slots: List[List] = []
-        self._procs: List[_ProcWorker] = []
-
-        mode = backend
-        if mode == BACKEND_PROCESS:
-            import multiprocessing as mp
-
-            if "fork" not in mp.get_all_start_methods():
-                mode = BACKEND_THREAD
-                self.degraded_reason = (
-                    "fork start method unavailable; pool degraded to threads"
-                )
-        if mode == BACKEND_PROCESS:
-            try:
-                self._start_processes()
-            except (OSError, PermissionError) as exc:
-                mode = BACKEND_THREAD
-                self.degraded_reason = (
-                    f"worker processes failed to start ({exc}); "
-                    "pool degraded to threads"
-                )
-        if mode == BACKEND_THREAD:
-            self._start_threads()
-        self.mode = mode
-
-    # -- construction --------------------------------------------------------
-
-    def _start_processes(self) -> None:
         import multiprocessing as mp
 
         from repro.traffic.packet import PACKET_FIELDS
 
+        self._groups = groups
+        self.workers = int(workers)
+        self.closed = False
+        self.seals = 0
+        self._mirror: List[GroupReplicaSpec] = replica_specs(groups)
+        self._fields: Tuple[str, ...] = tuple(PACKET_FIELDS)
+        self._procs: List[_ProcWorker] = []
+        #: Why no worker is running (``None`` when the pool is live).
+        self.unavailable: Optional[str] = None
+        if "fork" not in mp.get_all_start_methods():
+            self.unavailable = "fork start method unavailable"
+            return
         self._ctx = mp.get_context("fork")
-        self._fields = tuple(PACKET_FIELDS)
-        self._cap = shm_rows()
+        try:
+            self._start_processes()
+        except OSError as exc:
+            self._stop_workers()
+            self.unavailable = f"worker processes failed to start ({exc})"
+
+    # -- construction --------------------------------------------------------
+
+    def _start_processes(self) -> None:
+        self._cap = SHM_ROWS
         row_bytes = self._cap * 8
         self._in_buf = mmap.mmap(-1, self.workers * len(self._fields) * row_bytes)
 
@@ -413,11 +373,10 @@ class PersistentShardPool:
                     for key, (off, dtype, size) in layout.items()
                 }
             )
-        self._procs = [None] * self.workers  # type: ignore[list-item]
         for slot in range(self.workers):
-            self._spawn(slot)
+            self._procs.append(self._spawn(slot))
 
-    def _spawn(self, slot: int) -> None:
+    def _spawn(self, slot: int) -> _ProcWorker:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_pool_worker_main,
@@ -436,63 +395,46 @@ class PersistentShardPool:
         )
         proc.start()
         child_conn.close()
-        self._procs[slot] = _ProcWorker(proc, parent_conn)
-
-    def _start_threads(self) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._slots = [
-            [spec.build() for spec in self._mirror] for _ in range(self.workers)
-        ]
-        self._executor = ThreadPoolExecutor(max_workers=self.workers)
+        return _ProcWorker(proc, parent_conn)
 
     # -- introspection -------------------------------------------------------
 
-    def pids(self) -> List[Optional[int]]:
-        """Worker process ids (``None`` entries in thread mode)."""
-        if self.mode != BACKEND_PROCESS:
-            return [None] * self.workers
+    def pids(self) -> List[int]:
+        """Worker process ids."""
         return [worker.proc.pid for worker in self._procs]
 
-    def supports(self, trace) -> bool:
-        """Whether the shared input window can carry this trace's columns."""
-        if self.closed:
-            return False
-        if self.mode != BACKEND_PROCESS:
-            return True
-        return set(trace.columns) == set(self._fields)
+    def unusable_for(self, trace) -> Optional[Tuple[str, str]]:
+        """Why this pool cannot carry ``trace`` -- a ``(label, reason)``
+        pair, the label being the ``flymon_shard_fallback_total`` reason --
+        or ``None`` when it can."""
+        if self.unavailable is not None:
+            return "no_fork", self.unavailable
+        if set(trace.columns) != set(self._fields):
+            return "layout", (
+                "trace columns do not fit the pool's shared-memory layout"
+            )
+        return None
 
     # -- delta sync ----------------------------------------------------------
-
-    def mark_dirty(self) -> None:
-        """Flag that the live groups mutated; the next run re-syncs."""
-        self._dirty = True
 
     def sync(self) -> int:
         """Ship rule deltas to every worker; returns the op count.
 
-        Always re-derives the live state rather than trusting the dirty
-        flag alone: a caller-owned transaction can roll the controller back
-        *after* a run synced its mutations, with no hook firing.  Spec
+        Re-derives the live state on every call instead of trusting a
+        mutation hook: a caller-owned transaction can roll the controller
+        back *after* a run synced its mutations, with no hook firing.  Spec
         comparison is a tuple-equality check, so the no-change case costs
         microseconds.
         """
         if self.closed:
             raise ShardPoolError("pool is closed")
         new_mirror = replica_specs(self._groups)
-        self._dirty = False
         if new_mirror == self._mirror:
             return 0
         ops = _diff_specs(self._mirror, new_mirror)
         self._mirror = new_mirror
         if not ops:
             return 0
-        if self.mode == BACKEND_THREAD:
-            for slot_groups in self._slots:
-                _apply_ops(
-                    {group.group_id: group for group in slot_groups}, ops
-                )
-            return len(ops)
         acked = []
         for slot, worker in enumerate(self._procs):
             if worker.dead:
@@ -502,10 +444,9 @@ class PersistentShardPool:
                 acked.append(slot)
             except (OSError, ValueError):
                 worker.dead = True
-        timeout = shard_timeout()
         for slot in acked:
             try:
-                msg = self._await(slot, timeout)
+                msg = self._await(slot)
                 if msg[0] != "ok":
                     raise _WorkerFailure(msg[1], dead=False)
             except _WorkerFailure:
@@ -524,13 +465,13 @@ class PersistentShardPool:
         batch_size: int,
         tracked: Optional[frozenset],
         collect_exports: bool,
-    ) -> Tuple[List[ShardResult], str, Dict[str, object]]:
-        """Run one sharded pass; drop-in for ``sharding._dispatch``.
+    ) -> Tuple[List[ShardResult], Dict[str, object]]:
+        """Run one sharded pass over the resident workers.
 
-        Returns ``(results, backend_used, stats)`` with the same stats
-        contract (``retries`` / ``timeouts`` / ``events`` / ``timings``
-        including ``_submit_pc``) so the caller's span grafting and report
-        assembly are shared with the ephemeral path.
+        Returns ``(results, stats)`` under the contract of
+        ``sharding._run_in_process`` (``retries`` / ``timeouts`` /
+        ``events`` / ``timings`` including ``_submit_pc``) so the caller's
+        span grafting and report assembly are shared with that path.
         """
         if self.closed:
             raise ShardPoolError("pool is closed")
@@ -538,8 +479,6 @@ class PersistentShardPool:
             raise ShardPoolError(
                 f"run needs {len(ranges)} shards, pool has {self.workers} workers"
             )
-        if self._dirty:
-            self.sync()
 
         count = len(ranges)
         columns = trace.columns
@@ -548,22 +487,8 @@ class PersistentShardPool:
         }
         results: List[Optional[ShardResult]] = [None] * count
 
-        def payload(i: int, inject: Optional[Tuple]) -> tuple:
-            start, stop = ranges[i]
-            return (
-                self._mirror,
-                {name: col[start:stop] for name, col in columns.items()},
-                start,
-                stop,
-                batch_size,
-                tracked,
-                collect_exports,
-                inject,
-            )
-
         submit_pc: Dict[int, float] = {}
         dispatch_ms: Dict[int, float] = {}
-        build_ms: Dict[int, float] = {}
         compute_ms: Dict[int, float] = {i: 0.0 for i in range(count)}
         transport_ms: Dict[int, float] = {i: 0.0 for i in range(count)}
         failed: Dict[int, str] = {}
@@ -576,59 +501,6 @@ class PersistentShardPool:
             if timed_out:
                 stats["timeouts"] += 1
 
-        if self.mode == BACKEND_THREAD:
-            self._execute_threads(
-                ranges, columns, batch_size, tracked, collect_exports,
-                results, submit_pc, dispatch_ms, compute_ms, transport_ms,
-                failed, stats,
-            )
-        else:
-            self._execute_processes(
-                ranges, columns, batch_size, tracked, collect_exports,
-                results, submit_pc, dispatch_ms, build_ms, compute_ms,
-                transport_ms, failed, fail,
-            )
-
-        for i, reason in sorted(failed.items()):
-            results[i] = _retry_serially(
-                lambda i=i: payload(i, _plan_injection(i)), i, reason, stats
-            )
-        if self.mode == BACKEND_PROCESS:
-            self._respawn_dead()
-
-        for i in range(count):
-            events = [e for e in stats["events"] if e["shard"] == i]
-            start, stop = ranges[i]
-            result = results[i]
-            stats["timings"].append(
-                {
-                    "shard": i,
-                    "rows": stop - start,
-                    "dispatch_ms": dispatch_ms.get(i, 0.0),
-                    "build_ms": (
-                        result.build_ms if events else build_ms.get(i, 0.0)
-                    ),
-                    "compute_ms": (
-                        result.compute_ms if events else compute_ms.get(i, 0.0)
-                    ),
-                    "transport_ms": transport_ms.get(i, 0.0),
-                    "retried": bool(events),
-                    "retries": len(events),
-                    "retry_ms": sum(e.get("elapsed_ms", 0.0) for e in events),
-                    "_submit_pc": submit_pc.get(i),
-                }
-            )
-        return results, self.mode, stats
-
-    def _execute_processes(
-        self, ranges, columns, batch_size, tracked, collect_exports,
-        results, submit_pc, dispatch_ms, build_ms, compute_ms,
-        transport_ms, failed, fail,
-    ) -> None:
-        count = len(ranges)
-        timeout = shard_timeout()
-        injections = [_plan_injection(i) for i in range(count)]
-
         for i, (start, stop) in enumerate(ranges):
             worker = self._procs[i]
             submit_pc[i] = time.perf_counter()
@@ -638,7 +510,7 @@ class PersistentShardPool:
             try:
                 worker.conn.send(
                     ("begin", start, stop, batch_size, tracked,
-                     collect_exports, injections[i])
+                     collect_exports, _plan_injection(i))
                 )
             except (OSError, ValueError):
                 worker.dead = True
@@ -673,7 +545,7 @@ class PersistentShardPool:
                         fail(i, "worker process died")
             for i in sent:
                 try:
-                    msg = self._await(i, timeout)
+                    msg = self._await(i)
                 except _WorkerFailure as exc:
                     fail(i, exc.reason, timed_out=exc.timed_out)
                     continue
@@ -694,7 +566,7 @@ class PersistentShardPool:
                 fail(i, "worker process died")
         for i in harvested:
             try:
-                msg = self._await(i, timeout)
+                msg = self._await(i)
             except _WorkerFailure as exc:
                 fail(i, exc.reason, timed_out=exc.timed_out)
                 continue
@@ -709,112 +581,40 @@ class PersistentShardPool:
                 start, stop, self._out_views[i], journal, exports,
                 build_ms=worker_build_ms, compute_ms=compute_ms[i],
             )
-            build_ms[i] = worker_build_ms
             transport_ms[i] += out_ms
             dispatch_ms[i] = (time.perf_counter() - submit_pc[i]) * 1e3
 
-    def _execute_threads(
-        self, ranges, columns, batch_size, tracked, collect_exports,
-        results, submit_pc, dispatch_ms, compute_ms, transport_ms,
-        failed, stats,
-    ) -> None:
-        from concurrent.futures import TimeoutError as FuturesTimeout
+        run_shard = partial(
+            _run_shard_at, self._mirror, columns, ranges, batch_size,
+            tracked, collect_exports,
+        )
+        for i, reason in sorted(failed.items()):
+            results[i] = _retry_serially(run_shard, i, reason, stats)
+        self._respawn_dead()
 
-        timeout = shard_timeout()
-        futures = {}
         for i, (start, stop) in enumerate(ranges):
-            inject = _plan_injection(i)
-            submit_pc[i] = time.perf_counter()
-            futures[i] = self._executor.submit(
-                self._thread_run, self._slots[i], columns, start, stop,
-                batch_size, tracked, collect_exports, inject,
-            )
-        stale = []
-        for i, future in futures.items():
-            try:
-                results[i], compute_ms[i], transport_ms[i] = future.result(
-                    timeout=timeout
+            stats["timings"].append(
+                _shard_timing(
+                    i,
+                    stop - start,
+                    submit_pc[i],
+                    dispatch_ms[i],
+                    results[i].build_ms,
+                    results[i].compute_ms,
+                    transport_ms[i],
+                    stats["events"],
                 )
-            except FuturesTimeout:
-                stats["timeouts"] += 1
-                failed[i] = "shard timed out"
-                stale.append(i)
-            except Exception as exc:  # noqa: BLE001 - recovered by retry
-                failed[i] = f"{type(exc).__name__}: {exc}"
-                stale.append(i)
-            dispatch_ms[i] = (time.perf_counter() - submit_pc[i]) * 1e3
-        if stale:
-            # A hung thread may still own its slot's replicas; abandon the
-            # executor and rebuild every stale slot from the mirror.
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(max_workers=self.workers)
-            for i in stale:
-                self._slots[i] = [spec.build() for spec in self._mirror]
-
-    @staticmethod
-    def _thread_run(
-        groups, columns, start, stop, batch_size, tracked, collect_exports,
-        inject,
-    ):
-        try:
-            _execute_injection(inject, start)
-            journal = ShardJournal(tracked)
-            for group in groups:
-                for cmu in group.cmus:
-                    cmu.journal = journal
-            exports: Optional[Dict[str, np.ndarray]] = (
-                {} if collect_exports else None
             )
-            n = stop - start
-            t0 = time.perf_counter()
-            for off in range(0, n, batch_size):
-                hi = min(off + batch_size, n)
-                batch = PacketBatch(
-                    {
-                        name: col[start + off : start + hi]
-                        for name, col in columns.items()
-                    },
-                    length=hi - off,
-                )
-                journal.offset = start + off
-                for group in groups:
-                    group.process_batch(batch)
-                if exports is not None:
-                    _accumulate_exports(exports, batch, off, n)
-            compute = (time.perf_counter() - t0) * 1e3
-            t1 = time.perf_counter()
-            cells: Dict[Tuple[int, int], np.ndarray] = {}
-            for group in groups:
-                for cmu in group.cmus:
-                    cmu.journal = None
-                    cmu._digests.clear()
-                    if cmu.task_plans():
-                        cells[(group.group_id, cmu.index)] = (
-                            cmu.register.snapshot_cells()
-                        )
-                        cmu.register.reset()
-            out_ms = (time.perf_counter() - t1) * 1e3
-            result = ShardResult(
-                start, stop, cells, journal, exports,
-                build_ms=0.0, compute_ms=compute,
-            )
-            return result, compute, out_ms
-        except BaseException:
-            _scrub(groups)
-            raise
+        return results, stats
 
     # -- worker lifecycle ----------------------------------------------------
 
-    def _await(self, slot: int, timeout: Optional[float]):
+    def _await(self, slot: int):
         """Wait for one reply; raises :class:`_WorkerFailure` on death or
-        deadline (terminating the worker so it cannot wedge the pipe).
-
-        The deadline is per reply, mirroring the ephemeral model's
-        per-shard future timeout."""
+        when :data:`sharding.SHARD_TIMEOUT_S` passes without one
+        (terminating the worker so it cannot wedge the pipe)."""
         worker = self._procs[slot]
-        deadline = None if timeout is None else time.perf_counter() + timeout
+        deadline = time.perf_counter() + sharding.SHARD_TIMEOUT_S
         while True:
             try:
                 if worker.conn.poll(0.05):
@@ -831,7 +631,7 @@ class PersistentShardPool:
                     pass
                 worker.dead = True
                 raise _WorkerFailure("worker process died", dead=True)
-            if deadline is not None and time.perf_counter() > deadline:
+            if time.perf_counter() > deadline:
                 self._kill(slot)
                 raise _WorkerFailure("shard timed out", dead=True, timed_out=True)
 
@@ -855,7 +655,7 @@ class PersistentShardPool:
                 worker.conn.close()
             except OSError:
                 pass
-            self._spawn(slot)
+            self._procs[slot] = self._spawn(slot)
 
     # -- epoch rotation --------------------------------------------------
 
@@ -870,10 +670,6 @@ class PersistentShardPool:
         if self.closed:
             return
         self.seals += 1
-        if self.mode == BACKEND_THREAD:
-            for slot_groups in self._slots:
-                _scrub(slot_groups)
-            return
         sealed = []
         for slot, worker in enumerate(self._procs):
             if worker.dead:
@@ -883,10 +679,9 @@ class PersistentShardPool:
                 sealed.append(slot)
             except (OSError, ValueError):
                 worker.dead = True
-        timeout = shard_timeout()
         for slot in sealed:
             try:
-                self._await(slot, timeout)
+                self._await(slot)
             except _WorkerFailure:
                 pass
         self._respawn_dead()
@@ -898,11 +693,11 @@ class PersistentShardPool:
         if self.closed:
             return
         self.closed = True
-        if self.mode == BACKEND_THREAD:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-            self._slots = []
-            return
+        self._stop_workers()
+        self._in_views = []
+        self._out_views = []
+
+    def _stop_workers(self) -> None:
         for worker in self._procs:
             if worker.dead:
                 continue
@@ -922,8 +717,7 @@ class PersistentShardPool:
                 worker.conn.close()
             except OSError:
                 pass
-        self._in_views = []
-        self._out_views = []
+        self._procs = []
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

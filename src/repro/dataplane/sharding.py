@@ -33,11 +33,17 @@ order-dependent across the whole trace; deployments containing one fall
 back to sequential batched execution with the reason recorded on the
 returned :class:`ShardRunReport`.
 
-Workers run in a ``concurrent.futures`` process pool (``fork`` when
-available) with automatic thread fallback; ``FLYMON_SHARD_BACKEND`` pins
-``process`` / ``thread`` / ``serial`` explicitly.  Inside a worker the
-groups are driven directly through ``CmuGroup.process_batch`` -- every stage
-hook is columnar, so no shard ever pays the scalar dict round-trip.
+There is one parallel dispatcher -- the resident fork workers of
+:class:`~repro.dataplane.shard_pool.PersistentShardPool`, handed in as
+``run_sharded(..., pool=...)`` -- and one in-process shard loop
+(``pool=None``) that runs the same shards one after another through fresh
+replicas.  The in-process loop is also where a crashed or hung pool worker's
+shard is retried, and where a run lands when the pool cannot carry it (no
+``fork`` on the platform, trace columns outside the shared-memory layout);
+every such run is counted in ``flymon_shard_fallback_total{reason=...}``.
+Inside a worker the groups are driven directly through
+``CmuGroup.process_batch`` -- every stage hook is columnar, so no shard ever
+pays the scalar dict round-trip.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,19 +63,22 @@ from repro.faults import (
     SITE_SHARD_CRASH,
     SITE_SHARD_TIMEOUT,
 )
-from repro.telemetry import RECORDER as _RECORDER
+from repro.telemetry import (
+    EV_SHARD_RETRY,
+    RECORDER as _RECORDER,
+    TELEMETRY as _TELEMETRY,
+)
 from repro.traffic.batch import PacketBatch
 
 #: Column-slice size workers use when the caller does not fix one.
 DEFAULT_SHARD_BATCH = 8192
 
-#: Seconds the dispatcher waits for one shard's result before declaring it
-#: hung and re-dispatching serially (``FLYMON_SHARD_TIMEOUT``; <= 0 disables).
-DEFAULT_SHARD_TIMEOUT_S = 30.0
+#: Seconds the pool waits for one worker reply before declaring the worker
+#: hung, killing it, and re-running its shard in-process.
+SHARD_TIMEOUT_S = 30.0
 
-#: Serial re-dispatch attempts for a crashed/hung shard
-#: (``FLYMON_SHARD_RETRIES``).
-DEFAULT_SHARD_RETRIES = 2
+#: In-process re-run attempts for a crashed/hung shard.
+SHARD_RETRIES = 2
 
 #: Sleep an injected ``shard_timeout`` fault uses when no argument is given.
 DEFAULT_INJECTED_SLEEP_S = 0.5
@@ -80,58 +90,9 @@ LAW_XOR = "xor"
 LAW_OR = "or"
 LAW_REPLAY = "replay"
 
-BACKEND_PROCESS = "process"
-BACKEND_THREAD = "thread"
-BACKEND_SERIAL = "serial"
-BACKENDS = (BACKEND_PROCESS, BACKEND_THREAD, BACKEND_SERIAL)
-
-#: Shard runtimes: ``ephemeral`` rebuilds replicas per call (the original
-#: fork/pickle model); ``persistent`` keeps a long-lived worker pool with
-#: resident replicas and shared-memory register transport.
-RUNTIME_EPHEMERAL = "ephemeral"
-RUNTIME_PERSISTENT = "persistent"
-RUNTIMES = (RUNTIME_EPHEMERAL, RUNTIME_PERSISTENT)
-
 
 class ShardingError(RuntimeError):
     """Raised for invalid sharded-execution configuration."""
-
-
-def shard_runtime(runtime: Optional[str] = None) -> str:
-    """Resolve the shard runtime: explicit arg > ``FLYMON_SHARD_RUNTIME`` >
-    ephemeral.  An explicit argument must be valid; the environment variable
-    is lenient (unknown values fall back to ephemeral)."""
-    if runtime is not None:
-        if runtime not in RUNTIMES:
-            raise ShardingError(
-                f"unknown shard runtime {runtime!r} (expected one of {RUNTIMES})"
-            )
-        return runtime
-    raw = os.environ.get("FLYMON_SHARD_RUNTIME", "").strip().lower()
-    return raw if raw in RUNTIMES else RUNTIME_EPHEMERAL
-
-
-def shard_timeout() -> Optional[float]:
-    """Per-shard result timeout in seconds, or ``None`` when disabled."""
-    raw = os.environ.get("FLYMON_SHARD_TIMEOUT", "").strip()
-    if not raw:
-        return DEFAULT_SHARD_TIMEOUT_S
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_SHARD_TIMEOUT_S
-    return value if value > 0 else None
-
-
-def shard_retries() -> int:
-    """Serial re-dispatch attempts for a failed shard (min 1)."""
-    raw = os.environ.get("FLYMON_SHARD_RETRIES", "").strip()
-    if not raw:
-        return DEFAULT_SHARD_RETRIES
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_SHARD_RETRIES
 
 
 def default_workers() -> int:
@@ -219,9 +180,9 @@ class ShardJournal:
         """Concatenated ``(rows, index, p1, p2)`` for a task, or ``None``.
 
         Entries come back in global-row order: shards are absorbed in shard
-        order and rows inside a shard are already monotonic, but persistent
-        pool workers interleave capacity-sized rounds, so a stable sort by
-        row restores the sequential stream when needed.
+        order and rows inside a shard are already monotonic, but pool
+        workers interleave capacity-sized rounds, so a stable sort by row
+        restores the sequential stream when needed.
         """
         records = self._records.get(key)
         if not records:
@@ -304,7 +265,7 @@ class ShardResult:
     """One worker's output: final replica cells, journal, spliced exports.
 
     ``build_ms``/``compute_ms`` are measured *inside* the worker with raw
-    ``perf_counter`` reads (the worker may live in another process, so it
+    ``perf_counter`` reads (a pool worker lives in another process, so it
     cannot append to the dispatcher's flight recorder): replica
     construction vs. the batch loop + register snapshot.
     """
@@ -322,9 +283,18 @@ class ShardResult:
 class ShardRunReport:
     """What a sharded run did: backend, merge laws, fallback, exports.
 
-    ``retries`` counts serial re-dispatches of crashed or hung shards,
-    ``timeouts`` how many shard futures exceeded the per-shard deadline,
-    and ``shard_events`` carries one record per recovery action
+    ``backend`` names what ran: ``process`` (the resident worker pool),
+    ``serial`` (the in-process shard loop) or ``sequential`` (one batched
+    pipeline, no sharding).  A run that was meant for the pool but did not
+    get there says why: ``fallback`` carries the reason for a sequential
+    replay (chained tasks, empty trace) and ``degraded`` the reason an
+    attached pool could not be used (no ``fork``, trace columns outside the
+    shared-memory layout).  Both are counted in
+    ``flymon_shard_fallback_total{reason=chained|empty|no_fork|layout}``.
+
+    ``retries`` counts in-process re-runs of crashed or hung shards,
+    ``timeouts`` how many worker replies exceeded the deadline, and
+    ``shard_events`` carries one record per recovery action
     (``{"shard": i, "attempt": n, "reason": ..., "elapsed_ms": ...}``) so
     callers can audit what degraded and what the recovery cost.
 
@@ -332,25 +302,17 @@ class ShardRunReport:
     ``{"shard", "rows", "dispatch_ms", "build_ms", "compute_ms",
     "transport_ms", "retried", "retries", "retry_ms"}`` -- where
     ``dispatch_ms`` is the dispatcher-observed submit-to-result wall,
-    ``build_ms``/``compute_ms`` are the worker's own measurements, and
-    ``transport_ms`` is the remainder (pickling, queueing, result
-    transport; clamped at zero).  Under the **persistent** runtime
-    ``transport_ms`` is instead *measured* copy cost -- the dispatcher's
-    write of packet columns into the worker's shared-memory input window
-    plus the worker's register snapshot into its output window -- and
-    ``build_ms`` is non-zero only on the run that (re)built a resident
-    replica.  ``timing`` aggregates the run's phases:
-    ``plan_ms`` (law selection, replica specs, base snapshots),
-    ``sync_ms`` (persistent runtime only: shipping rule deltas to the
-    pool), ``dispatch_ms`` (submit to last result), ``merge_ms`` (export
-    splice + journal replay + register fold), ``total_ms``.  Both are
-    always populated -- they do not require the flight recorder to be
-    enabled.
-
-    ``runtime`` records which shard runtime actually executed the run and
-    ``degraded`` carries the reason when a persistent-runtime request had
-    to degrade (e.g. ``fork`` unavailable -> thread-mode pool, or no pool
-    attached -> ephemeral dispatch).
+    ``build_ms``/``compute_ms`` are the worker's own measurements
+    (``build_ms`` is non-zero on the pool only for the run that (re)built a
+    resident replica), and ``transport_ms`` is *measured* copy cost: the
+    dispatcher's write of packet columns into the worker's shared-memory
+    input window plus the worker's register snapshot into its output window
+    (zero in-process, where nothing moves).  ``timing`` aggregates the
+    run's phases: ``plan_ms`` (law selection, base snapshots), ``sync_ms``
+    (shipping rule deltas to the pool), ``dispatch_ms`` (submit to last
+    result), ``merge_ms`` (export splice + journal replay + register fold),
+    ``total_ms``.  Both are always populated -- they do not require the
+    flight recorder to be enabled.
     """
 
     packets: int
@@ -365,7 +327,6 @@ class ShardRunReport:
     shard_events: List[Dict[str, object]] = field(default_factory=list)
     shard_timings: List[Dict[str, object]] = field(default_factory=list)
     timing: Dict[str, float] = field(default_factory=dict)
-    runtime: str = RUNTIME_EPHEMERAL
     degraded: Optional[str] = None
 
 
@@ -385,8 +346,8 @@ def _execute_injection(inject: Optional[Tuple], start: int) -> None:
     """Act on a parent-planned fault instruction at shard-worker entry.
 
     ``("crash", "kill", pid)`` hard-exits the worker *process* (downgraded
-    to an exception when the worker shares the dispatcher's process, i.e.
-    thread/serial backends); any other crash argument raises
+    to an exception when the shard runs in the dispatcher's own process);
+    any other crash argument raises
     :class:`~repro.faults.FaultError`.  ``("timeout", seconds, pid)``
     sleeps so the dispatcher's per-shard deadline expires.
     """
@@ -417,8 +378,8 @@ def _run_shard(
 ) -> ShardResult:
     """Worker body: build replicas, stream the shard, snapshot the state.
 
-    Module-level and driven purely by picklable arguments so it runs
-    unchanged under process pools, thread pools, and in-line execution.
+    The in-process shard body, and what a failed pool worker's shard is
+    re-run through.
     """
     _execute_injection(inject, start)
     t_build = time.perf_counter()
@@ -454,7 +415,7 @@ def _run_shard(
     )
 
 
-def _is_chained(config) -> bool:
+def is_chained(config) -> bool:
     """Whether a task's inputs depend on upstream CMU exports (PHV chaining),
     which makes its register stream state-dependent and non-shardable."""
     from repro.core.params import InterarrivalProcessor, MinResultsParam, ResultParam
@@ -469,16 +430,15 @@ def _is_chained(config) -> bool:
     return False
 
 
-def _merge_law(plan, bucket_bits: int, value_mask: int) -> str:
-    """Pick the cheapest exact merge law for one task (see module docs)."""
+def merge_law(plan, bucket_bits: int, value_mask: int) -> str:
+    """The cheapest exact law for folding one task's *cells* (see module
+    docs).  It depends only on the operation; what to do about alarm
+    digests is the caller's policy (shards replay armed tasks, the fabric
+    unions digests)."""
     from repro.core.operations import OP_AND_OR, OP_COND_ADD, OP_MAX, OP_XOR
     from repro.core.params import ConstParam
 
     config = plan.config
-    if plan.alarm_armed:
-        # Alarms fire on state-dependent results; only replay reproduces the
-        # exact digest stream.
-        return LAW_REPLAY
     if config.op == OP_MAX:
         return LAW_MAX
     if config.op == OP_XOR:
@@ -498,23 +458,13 @@ def _merge_law(plan, bucket_bits: int, value_mask: int) -> str:
     return LAW_REPLAY
 
 
-def _resolve_backend(backend: Optional[str]) -> str:
-    if backend is None:
-        backend = os.environ.get("FLYMON_SHARD_BACKEND", "").strip() or BACKEND_PROCESS
-    if backend not in BACKENDS:
-        raise ShardingError(
-            f"unknown shard backend {backend!r} (expected one of {BACKENDS})"
-        )
-    return backend
-
-
 def _plan_injection(shard_index: int) -> Optional[Tuple]:
     """Parent-side fault planning for one shard dispatch.
 
     The deterministic hit counter lives in the *dispatcher's* injector, so
-    ``shard_crash@2`` fails exactly the second shard regardless of backend
-    -- and, one-shot arms disarming on fire, the serial re-dispatch of that
-    shard succeeds.  Workers never trip shard sites themselves.
+    ``shard_crash@2`` fails exactly the second shard on the pool and
+    in-process alike -- and, one-shot arms disarming on fire, the re-run of
+    that shard succeeds.  Workers never trip shard sites themselves.
     """
     if not FAULTS.armed:
         return None
@@ -528,17 +478,38 @@ def _plan_injection(shard_index: int) -> Optional[Tuple]:
     return None
 
 
+def _run_shard_at(
+    specs: Sequence[GroupReplicaSpec],
+    columns: Dict[str, np.ndarray],
+    ranges: Sequence[Tuple[int, int]],
+    batch_size: int,
+    tracked: Optional[frozenset],
+    collect_exports: bool,
+    index: int,
+) -> ShardResult:
+    """Plan shard ``index``'s fault injection and run it in this process."""
+    start, stop = ranges[index]
+    return _run_shard(
+        specs,
+        {name: col[start:stop] for name, col in columns.items()},
+        start,
+        stop,
+        batch_size,
+        tracked,
+        collect_exports,
+        _plan_injection(index),
+    )
+
+
 def _retry_serially(
-    build_payload: Callable[[], tuple],
+    run_shard: Callable[[int], ShardResult],
     index: int,
     reason: str,
     stats: Dict[str, object],
 ) -> ShardResult:
-    """Re-dispatch a failed shard on the serial path, bounded by
-    :func:`shard_retries`; raises :class:`ShardingError` when exhausted."""
-    from repro.telemetry import EV_SHARD_RETRY, TELEMETRY as _TELEMETRY
-
-    attempts = shard_retries()
+    """Re-run a failed shard in-process, bounded by :data:`SHARD_RETRIES`;
+    raises :class:`ShardingError` when exhausted."""
+    attempts = SHARD_RETRIES
     last: Optional[BaseException] = None
     for attempt in range(1, attempts + 1):
         stats["retries"] += 1
@@ -553,7 +524,7 @@ def _retry_serially(
             )
         t0 = time.perf_counter()
         try:
-            result = _run_shard(*build_payload())
+            result = run_shard(index)
         except Exception as exc:  # noqa: BLE001 - bounded, surfaced below
             event["elapsed_ms"] = (time.perf_counter() - t0) * 1e3
             last = exc
@@ -566,171 +537,95 @@ def _retry_serially(
     ) from last
 
 
-def _dispatch(
+def _shard_timing(
+    index: int,
+    rows: int,
+    submit_pc: float,
+    dispatch_ms: float,
+    build_ms: float,
+    compute_ms: float,
+    transport_ms: float,
+    events: Sequence[Dict[str, object]],
+) -> Dict[str, object]:
+    """One :attr:`ShardRunReport.shard_timings` record, plus a private
+    ``_submit_pc`` (raw ``perf_counter`` submit time) that ``run_sharded``
+    strips after placing synthetic spans on the flight-recorder timeline."""
+    mine = [e for e in events if e["shard"] == index]
+    return {
+        "shard": index,
+        "rows": rows,
+        "dispatch_ms": dispatch_ms,
+        "build_ms": build_ms,
+        "compute_ms": compute_ms,
+        "transport_ms": transport_ms,
+        "retried": bool(mine),
+        "retries": len(mine),
+        "retry_ms": sum(e.get("elapsed_ms", 0.0) for e in mine),
+        "_submit_pc": submit_pc,
+    }
+
+
+def _run_in_process(
     specs: Sequence[GroupReplicaSpec],
     columns: Dict[str, np.ndarray],
     ranges: Sequence[Tuple[int, int]],
     batch_size: int,
     tracked: Optional[frozenset],
     collect_exports: bool,
-    backend: str,
-) -> Tuple[List[ShardResult], str, Dict[str, object]]:
-    """Run every shard, in shard order, on the requested backend.
+) -> Tuple[List[ShardResult], Dict[str, object]]:
+    """Run every shard, in shard order, in this process.
 
-    A process pool that cannot *start* (sandboxes, fork restrictions)
-    degrades to threads.  An individual shard that crashes, kills its
-    worker, or exceeds the per-shard timeout is re-dispatched on the serial
-    path with bounded retries, so one bad worker costs its shard's
-    parallelism -- never the run.  Returns ``(results, backend_used,
-    stats)`` with ``stats = {"retries", "timeouts", "events", "timings"}``;
-    ``timings`` holds one phase-attributed record per shard (see
-    :attr:`ShardRunReport.shard_timings`) plus a private ``_submit_pc``
-    (raw ``perf_counter`` submit time) that the caller strips after
-    placing synthetic spans on the flight-recorder timeline.
+    A shard that raises is re-run with bounded retries.  Returns
+    ``(results, stats)`` with ``stats = {"retries", "timeouts", "events",
+    "timings"}`` -- the contract :meth:`PersistentShardPool.execute` shares.
     """
     stats: Dict[str, object] = {
         "retries": 0, "timeouts": 0, "events": [], "timings": []
     }
-    dispatch_ms: Dict[int, float] = {}
-    submit_pc: Dict[int, float] = {}
-
-    def payload(i: int, inject: Optional[Tuple]) -> tuple:
-        start, stop = ranges[i]
-        return (
-            specs,
-            {name: col[start:stop] for name, col in columns.items()},
-            start,
-            stop,
-            batch_size,
-            tracked,
-            collect_exports,
-            inject,
-        )
-
-    count = len(ranges)
-    results: List[Optional[ShardResult]] = [None] * count
-    timeout = shard_timeout()
-
-    def finish(backend_used: str):
-        """Assemble per-shard timing records once every result is in."""
-        for i, result in enumerate(results):
-            events = [e for e in stats["events"] if e["shard"] == i]
-            observed = dispatch_ms.get(i, 0.0)
-            stats["timings"].append(
-                {
-                    "shard": i,
-                    "rows": result.stop - result.start,
-                    "dispatch_ms": observed,
-                    "build_ms": result.build_ms,
-                    "compute_ms": result.compute_ms,
-                    "transport_ms": max(
-                        0.0, observed - result.build_ms - result.compute_ms
-                    ),
-                    "retried": bool(events),
-                    "retries": len(events),
-                    "retry_ms": sum(e.get("elapsed_ms", 0.0) for e in events),
-                    "_submit_pc": submit_pc.get(i),
-                }
-            )
-        return results, backend_used, stats
-
-    if backend == BACKEND_SERIAL or count <= 1:
-        for i in range(count):
-            submit_pc[i] = t0 = time.perf_counter()
-            try:
-                results[i] = _run_shard(*payload(i, _plan_injection(i)))
-            except Exception as exc:  # noqa: BLE001 - recovered below
-                dispatch_ms[i] = (time.perf_counter() - t0) * 1e3
-                results[i] = _retry_serially(
-                    lambda i=i: payload(i, _plan_injection(i)),
-                    i,
-                    f"{type(exc).__name__}: {exc}",
-                    stats,
-                )
-            else:
-                dispatch_ms[i] = (time.perf_counter() - t0) * 1e3
-        return finish(BACKEND_SERIAL)
-
-    failed: Dict[int, str] = {}
-    if backend == BACKEND_PROCESS:
-        try:
-            import multiprocessing as mp
-            from concurrent.futures import (
-                ProcessPoolExecutor,
-                TimeoutError as FuturesTimeout,
-            )
-            from concurrent.futures.process import BrokenProcessPool
-
-            context = (
-                mp.get_context("fork")
-                if "fork" in mp.get_all_start_methods()
-                else mp.get_context()
-            )
-            pool = ProcessPoolExecutor(max_workers=count, mp_context=context)
-            try:
-                futures = []
-                for i in range(count):
-                    submit_pc[i] = time.perf_counter()
-                    futures.append(
-                        pool.submit(_run_shard, *payload(i, _plan_injection(i)))
-                    )
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            for i, future in enumerate(futures):
-                try:
-                    results[i] = future.result(timeout=timeout)
-                except FuturesTimeout:
-                    stats["timeouts"] += 1
-                    failed[i] = "shard timed out"
-                except BrokenProcessPool:
-                    failed[i] = "worker process died"
-                except Exception as exc:  # noqa: BLE001 - recovered below
-                    failed[i] = f"{type(exc).__name__}: {exc}"
-                dispatch_ms[i] = (time.perf_counter() - submit_pc[i]) * 1e3
-            # Never block on a hung/killed worker during cleanup.
-            pool.shutdown(wait=False, cancel_futures=True)
-            for i, reason in failed.items():
-                results[i] = _retry_serially(
-                    lambda i=i: payload(i, _plan_injection(i)), i, reason, stats
-                )
-            return finish(BACKEND_PROCESS)
-        except (OSError, PermissionError):
-            backend = BACKEND_THREAD
-            failed.clear()
-            dispatch_ms.clear()
-            submit_pc.clear()
-    from concurrent.futures import (
-        ThreadPoolExecutor,
-        TimeoutError as FuturesTimeout,
+    results: List[ShardResult] = []
+    run_shard = partial(
+        _run_shard_at, specs, columns, ranges, batch_size, tracked, collect_exports
     )
-
-    pool = ThreadPoolExecutor(max_workers=count)
-    futures = []
-    for i in range(count):
-        submit_pc[i] = time.perf_counter()
-        futures.append(pool.submit(_run_shard, *payload(i, _plan_injection(i))))
-    for i, future in enumerate(futures):
+    for i, (start, stop) in enumerate(ranges):
+        submit = time.perf_counter()
         try:
-            results[i] = future.result(timeout=timeout)
-        except FuturesTimeout:
-            stats["timeouts"] += 1
-            failed[i] = "shard timed out"
+            result = run_shard(i)
         except Exception as exc:  # noqa: BLE001 - recovered below
-            failed[i] = f"{type(exc).__name__}: {exc}"
-        dispatch_ms[i] = (time.perf_counter() - submit_pc[i]) * 1e3
-    pool.shutdown(wait=False, cancel_futures=True)
-    for i, reason in failed.items():
-        results[i] = _retry_serially(
-            lambda i=i: payload(i, _plan_injection(i)), i, reason, stats
+            observed = (time.perf_counter() - submit) * 1e3
+            result = _retry_serially(
+                run_shard, i, f"{type(exc).__name__}: {exc}", stats
+            )
+        else:
+            observed = (time.perf_counter() - submit) * 1e3
+        results.append(result)
+        stats["timings"].append(
+            _shard_timing(
+                i, stop - start, submit, observed,
+                result.build_ms, result.compute_ms, 0.0, stats["events"],
+            )
         )
-    return finish(BACKEND_THREAD)
+    return results, stats
+
+
+def _count_fallback(label: str) -> None:
+    """No silent slow path: count a sharded request that left the pool."""
+    if _TELEMETRY.enabled:
+        _TELEMETRY.registry.counter(
+            "flymon_shard_fallback_total", reason=label
+        ).inc()
 
 
 def _sequential(
-    groups, trace, batch_size: int, collect_exports: bool, reason: str, workers: int
+    groups,
+    trace,
+    batch_size: int,
+    collect_exports: bool,
+    label: str,
+    reason: str,
+    workers: int,
 ) -> ShardRunReport:
     """Single-pipeline batched fallback (still collects exports on request)."""
+    _count_fallback(label)
     n = len(trace)
     exports: Optional[Dict[str, np.ndarray]] = {} if collect_exports else None
     offset = 0
@@ -856,13 +751,11 @@ def run_sharded(
     trace,
     workers: int,
     batch_size: Optional[int] = None,
-    backend: Optional[str] = None,
     collect_exports: bool = False,
     exact_exports: bool = False,
-    runtime: Optional[str] = None,
     pool=None,
 ) -> ShardRunReport:
-    """Replay ``trace`` through ``groups`` using sharded parallel execution.
+    """Replay ``trace`` through ``groups`` using sharded execution.
 
     Register state, digests, and (for replayed tasks) PHV exports end up
     bit-identical to a sequential replay.  ``exact_exports=True`` forces
@@ -870,12 +763,12 @@ def run_sharded(
     exact for all tasks -- a verification mode that trades the parallel
     speedup for full per-packet output.
 
-    ``runtime`` selects between the ephemeral model (fresh replicas per
-    call) and the persistent model, which dispatches through ``pool`` -- a
-    :class:`~repro.dataplane.shard_pool.PersistentShardPool` whose resident
-    replicas are delta-synced before the run.  A persistent request without
-    a usable pool degrades to the ephemeral path with the reason recorded
-    on ``ShardRunReport.degraded``; it never fails the run.
+    ``pool`` -- a :class:`~repro.dataplane.shard_pool.PersistentShardPool`
+    whose resident replicas are delta-synced before the run -- executes the
+    shards in parallel; ``pool=None`` runs them one after another in this
+    process.  A pool that cannot carry the run (no ``fork``, trace columns
+    outside its shared-memory layout) also lands in-process, with the
+    reason on ``ShardRunReport.degraded``; it never fails the run.
 
     Deployments with chained tasks (parameters reading upstream CMU exports)
     fall back to sequential batched execution; the report's ``fallback``
@@ -886,7 +779,6 @@ def run_sharded(
     if batch_size is None or batch_size <= 0:
         batch_size = DEFAULT_SHARD_BATCH
     workers = max(1, int(workers))
-    runtime = shard_runtime(runtime)
     n = len(trace)
     t_run = time.perf_counter()
 
@@ -896,7 +788,7 @@ def run_sharded(
             for task_id, plan in cmu.task_plans().items():
                 plans[(group.group_id, cmu.index, task_id)] = (cmu, plan)
     chained = sorted(
-        key for key, (_, plan) in plans.items() if _is_chained(plan.config)
+        key for key, (_, plan) in plans.items() if is_chained(plan.config)
     )
     if chained:
         described = ", ".join(
@@ -907,22 +799,34 @@ def run_sharded(
             trace,
             batch_size,
             collect_exports,
+            "chained",
             f"chained tasks read upstream exports ({described})",
             workers,
         )
     if n == 0:
         return _sequential(
-            groups, trace, batch_size, collect_exports, "empty trace", workers
+            groups, trace, batch_size, collect_exports, "empty", "empty trace",
+            workers,
         )
+
+    degraded: Optional[str] = None
+    if pool is not None:
+        unusable = pool.unusable_for(trace)
+        if unusable is not None:
+            label, degraded = unusable
+            _count_fallback(label)
+            pool = None
 
     with _RECORDER.span("shard.run", cat="dataplane", packets=n, workers=workers):
         t_plan = time.perf_counter()
         with _RECORDER.span("shard.plan", cat="dataplane"):
             laws = {
                 key: (
+                    # Alarms fire on state-dependent results; only replay
+                    # reproduces the exact digest stream.
                     LAW_REPLAY
-                    if exact_exports
-                    else _merge_law(plan, cmu.bucket_bits, cmu.register.value_mask)
+                    if exact_exports or plan.alarm_armed
+                    else merge_law(plan, cmu.bucket_bits, cmu.register.value_mask)
                 )
                 for key, (cmu, plan) in plans.items()
             }
@@ -938,33 +842,11 @@ def run_sharded(
                 for cmu in group.cmus
                 if cmu.task_plans()
             }
-            specs = replica_specs(groups)
             ranges = shard_ranges(n, workers)
         plan_ms = (time.perf_counter() - t_plan) * 1e3
 
-        resolved_backend = _resolve_backend(backend)
-        degraded: Optional[str] = None
-        use_pool = False
-        if runtime == RUNTIME_PERSISTENT:
-            if resolved_backend == BACKEND_SERIAL:
-                degraded = "serial backend runs in-process; pool not engaged"
-            elif pool is None or getattr(pool, "closed", False):
-                degraded = "no worker pool attached; ephemeral dispatch"
-            elif pool.workers < len(ranges):
-                degraded = (
-                    f"pool sized for {pool.workers} workers, run needs "
-                    f"{len(ranges)}; ephemeral dispatch"
-                )
-            elif not pool.supports(trace):
-                degraded = (
-                    "trace columns do not fit the pool's shared-memory "
-                    "layout; ephemeral dispatch"
-                )
-            else:
-                use_pool = True
-
         sync_ms = 0.0
-        if use_pool:
+        if pool is not None:
             t_sync = time.perf_counter()
             with _RECORDER.span("shard.sync", cat="dataplane"):
                 pool.sync()
@@ -974,27 +856,25 @@ def run_sharded(
         with _RECORDER.span(
             "shard.dispatch", cat="dataplane", shards=len(ranges)
         ) as dispatch_sp:
-            if use_pool:
-                shard_results, backend_used, dispatch_stats = pool.execute(
+            if pool is not None:
+                shard_results, dispatch_stats = pool.execute(
                     trace, ranges, batch_size, tracked, collect_exports
                 )
-                degraded = pool.degraded_reason
             else:
-                shard_results, backend_used, dispatch_stats = _dispatch(
-                    specs,
+                shard_results, dispatch_stats = _run_in_process(
+                    replica_specs(groups),
                     trace.columns,
                     ranges,
                     batch_size,
                     tracked,
                     collect_exports,
-                    resolved_backend,
                 )
         dispatch_total_ms = (time.perf_counter() - t_dispatch) * 1e3
 
-        # Graft worker-side timings onto the recorder timeline.  Workers may
+        # Graft worker-side timings onto the recorder timeline.  Pool workers
         # live in other processes, so the dispatcher places synthetic spans
         # from the floats each ShardResult carried back: one ``shard.worker``
-        # per shard (submit-to-result wall, plus serial retry time), with
+        # per shard (submit-to-result wall, plus retry time), with
         # build / compute / transport / retry children laid out sequentially
         # from the recorded submit instant.
         timings: List[Dict[str, object]] = dispatch_stats["timings"]
@@ -1061,8 +941,6 @@ def run_sharded(
             _merge_into(groups, base, journal, shard_results, laws, trace, exports)
         merge_ms = (time.perf_counter() - t_merge) * 1e3
 
-    from repro.telemetry import TELEMETRY as _TELEMETRY
-
     if _TELEMETRY.enabled:
         _TELEMETRY.registry.counter("flymon_sharded_runs_total").inc()
         _TELEMETRY.registry.counter("flymon_sharded_packets_total").inc(n)
@@ -1071,7 +949,7 @@ def run_sharded(
         packets=n,
         workers=workers,
         shards=len(ranges),
-        backend=backend_used,
+        backend="serial" if pool is None else "process",
         fallback=None,
         merge_laws=laws,
         exports=exports,
@@ -1086,6 +964,5 @@ def run_sharded(
             "merge_ms": merge_ms,
             "total_ms": (time.perf_counter() - t_run) * 1e3,
         },
-        runtime=RUNTIME_PERSISTENT if use_pool else RUNTIME_EPHEMERAL,
         degraded=degraded,
     )

@@ -98,10 +98,8 @@ class TofinoSwitch:
         """The CMU groups placed on this pipeline, in pipeline order."""
         return datapath_groups(self.pipeline)
 
-    def process_trace(self, trace, batch_size=None, workers=None):
-        """Replay a trace through the pipeline; ``workers > 1`` shards it."""
-        if workers is not None and workers > 1:
-            return self.process_trace_sharded(trace, workers, batch_size=batch_size)
+    def process_trace(self, trace, batch_size=None):
+        """Replay a trace through the pipeline."""
         if batch_size is not None:
             for batch in trace.iter_batches(batch_size):
                 self.pipeline.process_batch(batch)
@@ -109,20 +107,6 @@ class TofinoSwitch:
         for fields in trace.iter_fields():
             self.pipeline.process(fields)
         return None
-
-    def process_trace_sharded(self, trace, workers, batch_size=None, backend=None):
-        """Sharded parallel replay over the pipeline's placed CMU groups.
-
-        Worker replicas execute the groups directly (in pipeline order, the
-        same order the placement hooks fire); merged state is written back
-        into this pipeline's live groups.
-        """
-        from repro.dataplane.sharding import run_sharded
-
-        return run_sharded(
-            datapath_groups(self.pipeline), trace, workers,
-            batch_size=batch_size, backend=backend,
-        )
 
 
 def datapath_groups(pipeline: Pipeline) -> list:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.traffic import Trace, ddos_trace, zipf_trace
+from repro.traffic.batch import env_batch_size
 
 #: Bytes per CMU bucket under the evaluation's uniform 32-bit configuration.
 BUCKET_BYTES = 4
@@ -75,10 +75,9 @@ def default_batch_size() -> Optional[int]:
     a negative value selects the scalar reference path; a positive integer
     fixes the batch size.
     """
-    raw = os.environ.get("FLYMON_BATCH_SIZE", "").strip()
-    if not raw:
+    value = env_batch_size()
+    if value is None:
         return DEFAULT_BATCH_SIZE
-    value = int(raw)
     return value if value > 0 else None
 
 
@@ -137,6 +136,7 @@ def deploy_and_process(
     )
     handle = controller.add_task(task)
     controller.process_trace(trace, batch_size=batch_size, workers=workers)
+    controller.close_shard_pool()  # one replay per controller: keep no workers
     return controller, handle
 
 

@@ -9,7 +9,6 @@ the union of the hosts' traffic.  See docs/FABRIC.md.
 
 from repro.fabric.merge import (
     MERGEABLE_LAWS,
-    fabric_merge_law,
     merge_member_epochs,
     task_merge_laws,
     task_mergeable,
@@ -44,7 +43,6 @@ __all__ = [
     "PlacementDecision",
     "SwitchSpec",
     "TopologyError",
-    "fabric_merge_law",
     "merge_member_epochs",
     "task_merge_laws",
     "task_mergeable",

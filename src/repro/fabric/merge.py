@@ -40,6 +40,8 @@ from repro.dataplane.sharding import (
     LAW_REPLAY,
     LAW_SUM,
     LAW_XOR,
+    is_chained,
+    merge_law,
 )
 from repro.service.engine import SealedEpoch
 
@@ -47,53 +49,24 @@ from repro.service.engine import SealedEpoch
 MERGEABLE_LAWS = frozenset({LAW_SUM, LAW_MAX, LAW_OR, LAW_XOR})
 
 
-def fabric_merge_law(plan, bucket_bits: int, value_mask: int) -> str:
-    """The fabric's per-row merge law (sharding's law, alarms excepted).
-
-    Shard merging treats alarm-armed tasks as replay-only because it must
-    reproduce the exact digest stream.  Fabric federation merges digests by
-    set union with a documented bound instead, and alarm thresholds do not
-    change how *cells* update -- so the law depends only on the operation.
-    """
-    from repro.core.operations import OP_AND_OR, OP_COND_ADD, OP_MAX, OP_XOR
-    from repro.core.params import ConstParam
-
-    config = plan.config
-    if config.op == OP_MAX:
-        return LAW_MAX
-    if config.op == OP_XOR:
-        return LAW_XOR
-    if config.op == OP_COND_ADD:
-        if (
-            isinstance(config.p2, ConstParam)
-            and (config.p2.constant & value_mask) == value_mask
-            and bucket_bits >= 8
-        ):
-            return LAW_SUM
-        return LAW_REPLAY
-    if config.op == OP_AND_OR:
-        if isinstance(config.p2, ConstParam) and (config.p2.constant & value_mask):
-            return LAW_OR
-        return LAW_REPLAY
-    return LAW_REPLAY
-
-
 def task_merge_laws(handle: TaskHandle) -> Dict[Tuple[int, int], str]:
     """Per-row fabric merge laws of a deployed task, keyed ``(group, cmu)``.
 
     Chained rows (inputs fed by upstream CMU exports) are forced to
     ``replay``: their register stream depends on seeing the *whole* packet
-    sequence, so only single-host placement is exact.
+    sequence, so only single-host placement is exact.  Everything else
+    takes the shard merge's op-only law even when alarm-armed: shards must
+    replay armed tasks to reproduce the exact digest stream, the fabric
+    merges digests by set union with a documented bound instead, and alarm
+    thresholds do not change how *cells* update.
     """
-    from repro.dataplane.sharding import _is_chained
-
     laws: Dict[Tuple[int, int], str] = {}
     for row in handle.rows:
         plan = row.cmu.task_plans()[handle.task_id]
-        if _is_chained(plan.config):
+        if is_chained(plan.config):
             law = LAW_REPLAY
         else:
-            law = fabric_merge_law(
+            law = merge_law(
                 plan, row.cmu.bucket_bits, row.cmu.register.value_mask
             )
         laws[(row.group.group_id, row.cmu.index)] = law

@@ -22,7 +22,6 @@ one-shot run of the same window exactly.
 from __future__ import annotations
 
 import copy
-import os
 import threading
 import time
 from collections import deque
@@ -41,6 +40,7 @@ from repro.telemetry import (
     RECORDER as _RECORDER,
     TELEMETRY as _TELEMETRY,
 )
+from repro.traffic.batch import env_batch_size
 from repro.traffic.packet import PACKET_FIELDS
 from repro.traffic.trace import Trace
 
@@ -49,14 +49,8 @@ DEFAULT_SERVICE_BATCH = 8192
 
 
 def _default_batch_size() -> int:
-    raw = os.environ.get("FLYMON_BATCH_SIZE", "").strip()
-    if not raw:
-        return DEFAULT_SERVICE_BATCH
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_SERVICE_BATCH
-    return value if value > 0 else DEFAULT_SERVICE_BATCH
+    value = env_batch_size()
+    return value if value is not None and value > 0 else DEFAULT_SERVICE_BATCH
 
 
 class StaleEpochError(KeyError):
@@ -269,7 +263,6 @@ class MeasurementService:
         retain: int = 8,
         batch_size: Optional[int] = None,
         workers: int = 1,
-        backend: Optional[str] = None,
         runtime: Optional[str] = None,
         epoch_wall_ms: Optional[float] = None,
         max_stall_ms: Optional[float] = None,
@@ -301,6 +294,14 @@ class MeasurementService:
             raise ValueError("max_stall_ms must be positive")
         if sealer_restart_budget < 0:
             raise ValueError("sealer_restart_budget must be >= 0")
+        # ``runtime`` selects nothing and is read nowhere: there is one
+        # sharded runtime.  The keyword stays because the frozen benchmark
+        # adapter (benchmarks/ladder/adapter.py) passes runtime="persistent".
+        if runtime not in (None, "persistent"):
+            raise ValueError(
+                f"unknown shard runtime {runtime!r}: the resident worker "
+                "pool ('persistent') is the only one"
+            )
         self.controller = controller
         self.epoch_packets = epoch_packets
         self.epoch_duration_us = epoch_duration_us
@@ -308,10 +309,6 @@ class MeasurementService:
         self.retain = retain
         self.batch_size = batch_size
         self.workers = max(1, int(workers))
-        self.backend = backend
-        #: Shard runtime ("ephemeral" / "persistent"); ``None`` defers to the
-        #: ``FLYMON_SHARD_RUNTIME`` environment variable.
-        self.shard_runtime = runtime
         self.watchers: List[object] = []
         self.watcher_log: List[object] = []
         self._series: Dict[str, object] = {}
@@ -794,8 +791,6 @@ class MeasurementService:
                     window,
                     self.workers,
                     batch_size=self._effective_batch(),
-                    backend=self.backend,
-                    runtime=self.shard_runtime,
                 )
                 return
             if self.batch_size == 0:
@@ -876,15 +871,13 @@ class MeasurementService:
             with _RECORDER.span("rotate.watchers", cat="service"):
                 self._evaluate_watchers(sealed)
 
-            # Persistent shard runtime: the resident worker replicas already
-            # self-reset after every run, so sealing an epoch in place is a
-            # broadcast no-op that only bumps the workers' seal counters (and
-            # scrubs any straggler state).  Ephemeral runs have no pool and
-            # skip this entirely.
-            pool = getattr(self.controller, "_shard_pool", None)
-            if pool is not None and not pool.closed:
+            # The shard pool's resident replicas already self-reset after
+            # every run, so sealing an epoch in place is a broadcast no-op
+            # that only bumps the workers' seal counters (and scrubs any
+            # straggler state).
+            if self.workers > 1:
                 with _RECORDER.span("rotate.pool", cat="service"):
-                    pool.seal_epoch(self._epoch_index)
+                    self.controller.seal_shard_epoch(self._epoch_index)
 
             sealed.seal_ms = (time.perf_counter() - t0) * 1e3
 

@@ -29,22 +29,21 @@ in after the fact with :meth:`FlightRecorder.add`, which accepts an explicit
 parent id and start timestamp so synthetic spans nest correctly in both the
 tree and the Chrome timeline.
 
-Sharded-datapath phases, by runtime:
+Sharded-datapath phases:
 
-* ``shard.dispatch`` wraps the fan-out on both runtimes; per-shard
-  ``shard.worker`` spans (with nested ``shard.build`` / ``shard.compute`` /
-  ``shard.transport``) are grafted in from worker-reported floats.
-* ``shard.transport`` is *data movement only*: on the ephemeral runtime it
-  is the pickle/unpickle of inputs and results; on the persistent runtime
-  it is the shared-memory copy in (parent side) plus the register
-  snapshot-into-shm out (worker side).  ``shard.build`` is the replica
-  construction cost -- paid once per pool lifetime on the persistent
-  runtime, so it collapses to ~0 on warm runs.
-* ``shard.sync`` (persistent only) times shipping control-plane deltas
-  (installed/removed rules, filter updates) to the resident workers before
-  a run; ``shard.shm`` (persistent only) times each bounded input-window
-  copy round inside the dispatch.
-* ``rotate.pool`` (persistent only, under ``service.rotate``) times the
+* ``shard.dispatch`` wraps the fan-out; per-shard ``shard.worker`` spans
+  (with nested ``shard.build`` / ``shard.compute`` / ``shard.transport``)
+  are grafted in from worker-reported floats.
+* ``shard.transport`` is *data movement only*: the shared-memory copy in
+  (parent side) plus the register snapshot-into-shm out (worker side); it
+  is absent in-process, where nothing moves.  ``shard.build`` is the
+  replica construction cost -- paid once per pool lifetime, so it collapses
+  to ~0 on warm runs (the in-process loop pays it on every run).
+* ``shard.sync`` times shipping control-plane deltas (installed/removed
+  rules, filter updates) to the resident workers before a run;
+  ``shard.shm`` times each bounded input-window copy round inside the
+  dispatch.  Neither exists in-process.
+* ``rotate.pool`` (under ``service.rotate``, ``workers > 1``) times the
   in-place epoch seal broadcast to the resident workers.
 """
 

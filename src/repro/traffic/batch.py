@@ -16,11 +16,29 @@ with :meth:`ensure` and behave like per-packet PHV words.
 
 from __future__ import annotations
 
+import os
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.traffic.packet import PACKET_FIELDS
+
+
+def env_batch_size() -> Optional[int]:
+    """``FLYMON_BATCH_SIZE`` as an integer (``None`` when unset or empty).
+
+    The one parser of that variable: a value that is not an integer raises
+    ``ValueError`` naming the variable and the value, wherever it is read.
+    """
+    raw = os.environ.get("FLYMON_BATCH_SIZE", "").strip()
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"FLYMON_BATCH_SIZE must be an integer, got {raw!r}"
+        ) from None
 
 
 class PacketBatch:

@@ -18,14 +18,10 @@ import pytest
 import repro.core.task as task_mod
 from repro.core.controller import FlyMonController
 from repro.core.task import AttributeSpec, MeasurementTask, TaskFilter
-from repro.dataplane.shard_pool import PersistentShardPool, shm_rows
-from repro.dataplane.sharding import (
-    RUNTIME_EPHEMERAL,
-    RUNTIME_PERSISTENT,
-    ShardingError,
-    run_sharded,
-    shard_runtime,
-)
+from repro.dataplane import shard_pool
+from repro.dataplane.shard_pool import PersistentShardPool, ShardPoolError
+from repro.dataplane.sharding import run_sharded
+from repro.service import MeasurementService
 from repro.traffic.flows import KEY_DST_IP, KEY_SRC_IP
 from repro.traffic.generators import zipf_trace
 
@@ -83,27 +79,30 @@ def trace():
     return zipf_trace(num_flows=500, num_packets=6001, seed=11)
 
 
-# -- runtime resolution ------------------------------------------------------
+# -- one runtime -------------------------------------------------------------
 
 
-def test_runtime_defaults_to_ephemeral(monkeypatch):
-    monkeypatch.delenv("FLYMON_SHARD_RUNTIME", raising=False)
-    assert shard_runtime() == RUNTIME_EPHEMERAL
-
-
-def test_runtime_env_var(monkeypatch):
-    monkeypatch.setenv("FLYMON_SHARD_RUNTIME", "persistent")
-    assert shard_runtime() == RUNTIME_PERSISTENT
-    # The env path is lenient: garbage falls back to the default rather
-    # than crashing a run that never asked for a runtime.
-    monkeypatch.setenv("FLYMON_SHARD_RUNTIME", "warp-drive")
-    assert shard_runtime() == RUNTIME_EPHEMERAL
+def test_runtime_env_var(monkeypatch, trace):
+    """The deleted FLYMON_SHARD_* knobs are really dead: whatever they say,
+    ``workers > 1`` runs on the pool."""
+    monkeypatch.setenv("FLYMON_SHARD_RUNTIME", "ephemeral")
+    monkeypatch.setenv("FLYMON_SHARD_BACKEND", "thread")
+    controller, _ = _controller([_cms_task(threshold=80)])
+    try:
+        report = controller.process_trace_sharded(trace, workers=2)
+        assert report.backend == "process"
+    finally:
+        controller.close_shard_pool()
 
 
 def test_runtime_explicit_argument_is_strict():
-    assert shard_runtime("persistent") == RUNTIME_PERSISTENT
-    with pytest.raises(ShardingError):
-        shard_runtime("warp-drive")
+    """``MeasurementService(runtime=...)`` survives only as a shim for the
+    frozen benchmark adapter: it accepts the one runtime and nothing else."""
+    controller, _ = _controller([_cms_task()])
+    MeasurementService(controller, runtime="persistent")
+    MeasurementService(controller, runtime=None)
+    with pytest.raises(ValueError, match="ephemeral"):
+        MeasurementService(controller, runtime="ephemeral")
 
 
 # -- warm-pool bit identity --------------------------------------------------
@@ -116,12 +115,11 @@ def test_pool_reuse_bit_identical(trace, workers):
     try:
         for run in range(2):
             scalar.process_trace(trace)
-            report = pooled.process_trace_sharded(
-                trace, workers=workers, backend="process", runtime="persistent"
-            )
-            assert report.runtime == RUNTIME_PERSISTENT
+            report = pooled.process_trace_sharded(trace, workers=workers)
+            # A single shard needs no pool; everything else runs on it.
+            assert report.backend == ("process" if workers > 1 else "serial")
             assert report.fallback is None
-            if run == 1:
+            if run == 1 and workers > 1:
                 # The replicas were built on run 0 and stayed resident.
                 assert all(
                     t["build_ms"] == 0.0 for t in report.shard_timings
@@ -164,10 +162,8 @@ def test_pool_survives_rule_mutations(trace):
             apply(pooled, pooled_handles, op)
             if op[0] == "run":
                 scalar.process_trace(trace)
-                report = pooled.process_trace_sharded(
-                    trace, workers=2, backend="process", runtime="persistent"
-                )
-                assert report.runtime == RUNTIME_PERSISTENT
+                report = pooled.process_trace_sharded(trace, workers=2)
+                assert report.backend == "process"
                 _assert_state_equal(_state(scalar), _state(pooled))
         pool = pooled._shard_pool
         assert pool is not None and not pool.closed
@@ -177,32 +173,41 @@ def test_pool_survives_rule_mutations(trace):
 
 def test_chunked_rounds_with_small_shm_window(monkeypatch, trace):
     """Input windows smaller than a shard force multi-round streaming."""
-    monkeypatch.setenv("FLYMON_SHARD_SHM_ROWS", "512")
-    assert shm_rows() == 512
+    monkeypatch.setattr(shard_pool, "SHM_ROWS", 512)
     scalar, _ = _controller([_cms_task(threshold=60)])
     pooled, _ = _controller([_cms_task(threshold=60)])
     try:
         scalar.process_trace(trace)
-        report = pooled.process_trace_sharded(
-            trace, workers=2, backend="process", runtime="persistent"
-        )
-        assert report.runtime == RUNTIME_PERSISTENT
+        report = pooled.process_trace_sharded(trace, workers=2)
+        assert report.backend == "process"
         _assert_state_equal(_state(scalar), _state(pooled))
     finally:
         pooled.close_shard_pool()
 
 
-def test_shm_rows_floor(monkeypatch):
-    monkeypatch.setenv("FLYMON_SHARD_SHM_ROWS", "3")
-    assert shm_rows() >= 64
-    monkeypatch.setenv("FLYMON_SHARD_SHM_ROWS", "not-a-number")
-    assert shm_rows() == 1 << 16
+# -- leaving the pool, counted -----------------------------------------------
 
 
-# -- graceful degradation ----------------------------------------------------
+def _fallback_count(reason):
+    from repro import telemetry
+
+    return telemetry.TELEMETRY.registry.counter(
+        "flymon_shard_fallback_total", reason=reason
+    ).value
 
 
-def test_fork_unavailable_degrades_to_threads(monkeypatch, trace):
+@pytest.fixture
+def counted():
+    from repro import telemetry
+
+    telemetry.reset()
+    telemetry.enable()
+    yield
+    telemetry.disable()
+    telemetry.reset()
+
+
+def test_fork_unavailable_runs_in_process(monkeypatch, trace, counted):
     monkeypatch.setattr(
         multiprocessing, "get_all_start_methods", lambda: ["spawn"]
     )
@@ -210,43 +215,51 @@ def test_fork_unavailable_degrades_to_threads(monkeypatch, trace):
     pooled, _ = _controller([_cms_task(threshold=80)])
     try:
         scalar.process_trace(trace)
-        report = pooled.process_trace_sharded(
-            trace, workers=2, backend="process", runtime="persistent"
-        )
-        # Never a crash: the pool runs in thread mode and says why.
-        assert report.runtime == RUNTIME_PERSISTENT
-        assert report.backend == "thread"
-        assert report.degraded is not None
+        report = pooled.process_trace_sharded(trace, workers=2)
+        # Never a crash: the shards run in-process and the report says why.
+        assert report.backend == "serial"
+        assert report.shards == 2
+        assert report.fallback is None
         assert "fork" in report.degraded
+        assert _fallback_count("no_fork") == 1
+        assert pooled._shard_pool.pids() == []
+        _assert_state_equal(_state(scalar), _state(pooled))
+    finally:
+        pooled.close_shard_pool()
+
+
+def test_foreign_columns_run_in_process(trace, counted):
+    """A trace carrying a column the shared-memory windows were not laid
+    out for cannot ride the pool; it runs in-process, counted."""
+    scalar, _ = _controller([_cms_task(threshold=80)])
+    pooled, _ = _controller([_cms_task(threshold=80)])
+    trace.columns["ttl"] = np.zeros(len(trace), dtype=np.int64)
+    try:
+        scalar.process_trace(trace)
+        report = pooled.process_trace_sharded(trace, workers=2)
+        assert report.backend == "serial"
+        assert "layout" in report.degraded
+        assert _fallback_count("layout") == 1
         _assert_state_equal(_state(scalar), _state(pooled))
     finally:
         pooled.close_shard_pool()
 
 
 def test_serial_backend_skips_the_pool(trace):
+    """A single shard has nothing to parallelise: no pool is forked."""
     controller, _ = _controller([_cms_task(threshold=80)])
-    report = controller.process_trace_sharded(
-        trace, workers=2, backend="serial", runtime="persistent"
-    )
-    assert report.runtime == RUNTIME_EPHEMERAL
-    assert report.degraded is not None
+    report = controller.process_trace_sharded(trace, workers=1)
+    assert report.backend == "serial"
+    assert report.degraded is None
     assert controller._shard_pool is None
 
 
-def test_undersized_pool_degrades_to_ephemeral(trace):
+def test_undersized_pool_is_rejected(trace):
     controller, _ = _controller([_cms_task(threshold=80)])
-    pool = controller.shard_pool(2, backend="process")
+    pool = controller.shard_pool(2)
     try:
-        report = run_sharded(
-            controller.groups,
-            trace,
-            workers=4,
-            backend="process",
-            runtime="persistent",
-            pool=pool,
-        )
-        assert report.runtime == RUNTIME_EPHEMERAL
-        assert "pool sized for 2" in report.degraded
+        with pytest.raises(ShardPoolError, match="pool has 2 workers"):
+            run_sharded(controller.groups, trace, workers=4, pool=pool)
     finally:
         controller.close_shard_pool()
 
@@ -254,15 +267,11 @@ def test_undersized_pool_degrades_to_ephemeral(trace):
 def test_controller_resizes_pool_on_worker_change(trace):
     controller, _ = _controller([_cms_task(threshold=80)])
     try:
-        controller.process_trace_sharded(
-            trace, workers=2, backend="process", runtime="persistent"
-        )
+        controller.process_trace_sharded(trace, workers=2)
         first = controller._shard_pool
         assert first.workers == 2
-        report = controller.process_trace_sharded(
-            trace, workers=4, backend="process", runtime="persistent"
-        )
-        assert report.runtime == RUNTIME_PERSISTENT
+        report = controller.process_trace_sharded(trace, workers=4)
+        assert report.backend == "process"
         second = controller._shard_pool
         assert second.workers == 4
         assert first.closed
@@ -276,9 +285,7 @@ def test_controller_resizes_pool_on_worker_change(trace):
 def test_seal_epoch_counts_and_keeps_workers(trace):
     controller, _ = _controller([_cms_task(threshold=80)])
     try:
-        controller.process_trace_sharded(
-            trace, workers=2, backend="process", runtime="persistent"
-        )
+        controller.process_trace_sharded(trace, workers=2)
         pool = controller._shard_pool
         before = pool.pids()
         pool.seal_epoch(0)
@@ -286,35 +293,29 @@ def test_seal_epoch_counts_and_keeps_workers(trace):
         assert pool.seals == 2
         assert pool.pids() == before
         # The pool still answers runs after sealing.
-        report = controller.process_trace_sharded(
-            trace, workers=2, backend="process", runtime="persistent"
-        )
-        assert report.runtime == RUNTIME_PERSISTENT
+        report = controller.process_trace_sharded(trace, workers=2)
+        assert report.backend == "process"
     finally:
         controller.close_shard_pool()
 
 
 def test_close_is_idempotent_and_final(trace):
     controller, _ = _controller([_cms_task(threshold=80)])
-    controller.process_trace_sharded(
-        trace, workers=2, backend="process", runtime="persistent"
-    )
+    controller.process_trace_sharded(trace, workers=2)
     pool = controller._shard_pool
     controller.close_shard_pool()
     assert pool.closed
     controller.close_shard_pool()  # no-op, no raise
     # A run after close transparently gets a fresh pool.
-    report = controller.process_trace_sharded(
-        trace, workers=2, backend="process", runtime="persistent"
-    )
-    assert report.runtime == RUNTIME_PERSISTENT
+    report = controller.process_trace_sharded(trace, workers=2)
+    assert report.backend == "process"
     assert controller._shard_pool is not pool
     controller.close_shard_pool()
 
 
 def test_direct_pool_sync_counts_deltas(trace):
     controller, handles = _controller([_cms_task(threshold=80), _hll_task()])
-    pool = PersistentShardPool(controller.groups, workers=2, backend="process")
+    pool = PersistentShardPool(controller.groups, workers=2)
     try:
         assert pool.sync() == 0  # mirror already current at build time
         task_mod._task_ids = itertools.count(50)

@@ -9,6 +9,7 @@ import pytest
 import repro.core.task as task_mod
 from repro.core.controller import FlyMonController
 from repro.core.task import AttributeSpec, MeasurementTask
+from repro.dataplane.shard_pool import PersistentShardPool
 from repro.dataplane.sharding import (
     LAW_MAX,
     LAW_OR,
@@ -16,7 +17,6 @@ from repro.dataplane.sharding import (
     LAW_SUM,
     GroupReplicaSpec,
     ShardJournal,
-    ShardingError,
     default_workers,
     run_sharded,
     shard_ranges,
@@ -160,13 +160,13 @@ class TestMergeLaws:
     def test_cms_is_sum(self):
         controller, _ = _controller([_cms_task()])
         trace = zipf_trace(num_flows=32, num_packets=64, seed=1)
-        report = run_sharded(controller.groups, trace, workers=2, backend="serial")
+        report = run_sharded(controller.groups, trace, workers=2)
         assert set(report.merge_laws.values()) == {LAW_SUM}
 
     def test_armed_cms_is_replay(self):
         controller, _ = _controller([_cms_task(threshold=10)])
         trace = zipf_trace(num_flows=32, num_packets=64, seed=1)
-        report = run_sharded(controller.groups, trace, workers=2, backend="serial")
+        report = run_sharded(controller.groups, trace, workers=2)
         assert set(report.merge_laws.values()) == {LAW_REPLAY}
 
     def test_max_and_or_laws(self):
@@ -188,14 +188,14 @@ class TestMergeLaws:
         ]
         controller, _ = _controller(tasks)
         trace = zipf_trace(num_flows=32, num_packets=64, seed=1)
-        report = run_sharded(controller.groups, trace, workers=2, backend="serial")
+        report = run_sharded(controller.groups, trace, workers=2)
         assert set(report.merge_laws.values()) == {LAW_MAX, LAW_OR}
 
     def test_exact_exports_forces_replay(self):
         controller, _ = _controller([_cms_task()])
         trace = zipf_trace(num_flows=32, num_packets=64, seed=1)
         report = run_sharded(
-            controller.groups, trace, workers=2, backend="serial", exact_exports=True
+            controller.groups, trace, workers=2, exact_exports=True
         )
         assert set(report.merge_laws.values()) == {LAW_REPLAY}
         assert report.exports is not None
@@ -230,36 +230,65 @@ class TestChainedFallback:
         assert report.fallback == "empty trace"
         assert report.packets == 0
 
+    def test_fallbacks_are_counted(self):
+        """No silent slow path: every sequential fallback shows up in
+        ``flymon_shard_fallback_total`` under its reason."""
+        from repro import telemetry
+        from repro.traffic import Trace
+
+        chained = MeasurementTask(
+            key=KEY_SRC_IP,
+            attribute=AttributeSpec.frequency(),
+            memory=1024,
+            depth=2,
+            algorithm="sumax_sum",
+        )
+        trace = zipf_trace(num_flows=16, num_packets=64, seed=2)
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            controller, _ = _controller([chained])
+            run_sharded(controller.groups, trace, workers=2)
+            run_sharded(controller.groups, trace, workers=2)
+            controller, _ = _controller([_cms_task()])
+            run_sharded(controller.groups, Trace.empty(), workers=2)
+            run_sharded(controller.groups, trace, workers=2)  # no fallback
+            counter = telemetry.TELEMETRY.registry.counter
+            assert counter("flymon_shard_fallback_total", reason="chained").value == 2
+            assert counter("flymon_shard_fallback_total", reason="empty").value == 1
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+
 
 class TestBackends:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_backend_matches_scalar_reference(self, backend):
+        """Both dispatchers -- the in-process shard loop and the resident
+        worker pool -- reproduce the scalar reference bit for bit."""
         trace = zipf_trace(num_flows=200, num_packets=3_000, seed=7)
         tasks = [_cms_task(threshold=40)]
         reference, _ = _controller(tasks)
         reference.process_trace(trace, batch_size=None)
         sharded, _ = _controller(tasks)
-        report = run_sharded(sharded.groups, trace, workers=2, backend=backend)
-        assert report.fallback is None
+        pool = (
+            PersistentShardPool(sharded.groups, workers=2)
+            if backend == "process"
+            else None
+        )
+        try:
+            report = run_sharded(sharded.groups, trace, workers=2, pool=pool)
+        finally:
+            if pool is not None:
+                pool.close()
+        assert report.backend == backend
+        assert report.fallback is None and report.degraded is None
         _assert_same_state(reference, sharded)
-
-    def test_unknown_backend_rejected(self):
-        controller, _ = _controller([_cms_task()])
-        trace = zipf_trace(num_flows=8, num_packets=16, seed=0)
-        with pytest.raises(ShardingError):
-            run_sharded(controller.groups, trace, workers=2, backend="gpu")
-
-    def test_env_backend_selection(self, monkeypatch):
-        monkeypatch.setenv("FLYMON_SHARD_BACKEND", "thread")
-        controller, _ = _controller([_cms_task()])
-        trace = zipf_trace(num_flows=32, num_packets=512, seed=3)
-        report = run_sharded(controller.groups, trace, workers=2)
-        assert report.backend == "thread"
 
     def test_single_shard_runs_serially(self):
         controller, _ = _controller([_cms_task()])
         trace = zipf_trace(num_flows=8, num_packets=16, seed=0)
-        report = run_sharded(controller.groups, trace, workers=1, backend="process")
+        report = run_sharded(controller.groups, trace, workers=1)
         assert report.shards == 1
         assert report.backend == "serial"
 
@@ -271,6 +300,7 @@ class TestControllerAndSwitchRouting:
         reference.process_trace(trace, batch_size=None)
         sharded, handles = _controller([_cms_task()])
         sharded.process_trace(trace, workers=4)
+        sharded.close_shard_pool()
         _assert_same_state(reference, sharded)
         for ref, other in zip(ref_handles, handles):
             for row_r, row_o in zip(ref.read_rows(), other.read_rows()):
@@ -291,8 +321,10 @@ class TestControllerAndSwitchRouting:
         reference, _ = _controller([_cms_task()], place_on_pipeline=True)
         reference.process_trace(trace, batch_size=512)
         sharded, _ = _controller([_cms_task()], place_on_pipeline=True)
-        report = sharded.process_trace_sharded(trace, workers=3, backend="serial")
+        report = sharded.process_trace_sharded(trace, workers=3)
+        sharded.close_shard_pool()
         assert report.fallback is None
+        assert report.backend == "process"
         _assert_same_state(reference, sharded)
 
 
@@ -302,11 +334,11 @@ class TestExports:
         tasks = [_cms_task(threshold=30, memory=512)]
         reference, _ = _controller(tasks)
         ref_report = run_sharded(
-            reference.groups, trace, workers=1, backend="serial", collect_exports=True
+            reference.groups, trace, workers=1, collect_exports=True
         )
         sharded, _ = _controller(tasks)
         report = run_sharded(
-            sharded.groups, trace, workers=4, backend="serial", exact_exports=True
+            sharded.groups, trace, workers=4, exact_exports=True
         )
         assert set(report.exports) == set(ref_report.exports)
         for name in ref_report.exports:
@@ -322,7 +354,7 @@ class TestShardTimings:
     def test_report_timing_and_shard_timings_populated(self):
         trace = zipf_trace(num_flows=100, num_packets=2_000, seed=5)
         controller, _ = _controller([_cms_task()])
-        report = run_sharded(controller.groups, trace, workers=3, backend="serial")
+        report = run_sharded(controller.groups, trace, workers=3)
         timing = report.timing
         assert set(timing) == {
             "plan_ms", "sync_ms", "dispatch_ms", "merge_ms", "total_ms"
@@ -336,28 +368,12 @@ class TestShardTimings:
             assert record["dispatch_ms"] > 0.0
             assert record["build_ms"] >= 0.0
             assert record["compute_ms"] > 0.0
-            assert record["transport_ms"] >= 0.0
+            assert record["transport_ms"] == 0.0  # nothing moves in-process
             assert record["retried"] is False
             assert record["retries"] == 0
             assert record["retry_ms"] == 0.0
             assert "_submit_pc" not in record  # private field stripped
         assert sum(r["rows"] for r in report.shard_timings) == len(trace)
-
-    def test_thread_backend_dispatch_covers_worker_phases(self):
-        trace = zipf_trace(num_flows=100, num_packets=2_000, seed=6)
-        controller, _ = _controller([_cms_task()])
-        report = run_sharded(controller.groups, trace, workers=2, backend="thread")
-        for record in report.shard_timings:
-            # dispatch (submit->result) bounds the worker-measured phases;
-            # transport is exactly the gap, clamped at zero.
-            assert record["transport_ms"] == pytest.approx(
-                max(
-                    0.0,
-                    record["dispatch_ms"]
-                    - record["build_ms"]
-                    - record["compute_ms"],
-                )
-            )
 
     def test_recovered_shard_reports_retry_timings(self):
         from repro.faults import FAULTS, SITE_SHARD_CRASH
@@ -366,9 +382,7 @@ class TestShardTimings:
         controller, _ = _controller([_cms_task()])
         FAULTS.arm(SITE_SHARD_CRASH, hit=2)  # second shard dispatch fails
         try:
-            report = run_sharded(
-                controller.groups, trace, workers=2, backend="thread"
-            )
+            report = run_sharded(controller.groups, trace, workers=2)
         finally:
             FAULTS.reset()
         assert report.retries >= 1
@@ -403,7 +417,7 @@ class TestShardTimings:
         RECORDER.clear()
         enable_recorder()
         try:
-            run_sharded(controller.groups, trace, workers=2, backend="thread")
+            run_sharded(controller.groups, trace, workers=2)
             names = [s.name for s in RECORDER.spans]
         finally:
             disable_recorder()

@@ -3,7 +3,8 @@
 Random mixes of tasks covering the reduced operation set, both
 address-translation strategies, probabilistic execution, and data-plane
 alarms are deployed twice -- one controller replays the trace packet by
-packet, the other shards it over parallel datapath replicas -- and every
+packet, the other shards it over datapath replicas (in-process and on the
+resident worker pool) -- and every
 observable must be bit-identical after the merge: register cells, digest
 sets, and per-handle row reads.
 
@@ -22,6 +23,7 @@ import pytest
 import repro.core.task as task_mod
 from repro.core.controller import FlyMonController
 from repro.core.task import AttributeSpec, MeasurementTask, TaskFilter
+from repro.dataplane.sharding import run_sharded
 from repro.traffic import Trace
 from repro.traffic.flows import KEY_SRC_IP
 from repro.traffic.packet import Packet
@@ -137,8 +139,8 @@ def test_random_task_mix_scalar_vs_sharded(seed, strategy, workers):
 
     scalar.process_trace(trace, batch_size=None)
     batch_size = int(rng.choice([17, 256, 1000]))
-    report = sharded.process_trace_sharded(
-        trace, workers=workers, batch_size=batch_size, backend="serial"
+    report = run_sharded(
+        sharded.groups, trace, workers, batch_size=batch_size, pool=None
     )
     assert report.fallback is None
     assert report.shards == min(workers, len(trace))
@@ -186,8 +188,8 @@ def test_hot_flow_crossing_shard_boundaries(workers):
     scalar, scalar_handles = _deploy(tasks, "tcam")
     sharded, sharded_handles = _deploy(tasks, "tcam")
     scalar.process_trace(trace, batch_size=None)
-    report = sharded.process_trace_sharded(
-        trace, workers=workers, batch_size=256, backend="serial"
+    report = run_sharded(
+        sharded.groups, trace, workers, batch_size=256, pool=None
     )
     assert report.fallback is None
 
@@ -227,7 +229,7 @@ def test_sixteen_bit_saturating_counters_use_replay():
     scalar, scalar_handle = deploy()
     scalar.process_trace(trace, batch_size=None)
     sharded, sharded_handle = deploy()
-    report = sharded.process_trace_sharded(trace, workers=4, backend="serial")
+    report = run_sharded(sharded.groups, trace, workers=4, pool=None)
     assert report.fallback is None
     _assert_identical(scalar, sharded, [scalar_handle], [sharded_handle])
 
@@ -248,15 +250,12 @@ def test_random_task_mix_scalar_vs_persistent_pool(workers):
         for run in range(2):
             scalar.process_trace(trace, batch_size=None)
             report = pooled.process_trace_sharded(
-                trace,
-                workers=workers,
-                batch_size=256,
-                backend="process",
-                runtime="persistent",
+                trace, workers=workers, batch_size=256
             )
             assert report.fallback is None
-            assert report.runtime == "persistent"
-            if run == 1:
+            # A single shard needs no pool; everything else runs on it.
+            assert report.backend == ("process" if workers > 1 else "serial")
+            if run == 1 and workers > 1:
                 assert all(
                     t["build_ms"] == 0.0 for t in report.shard_timings
                 )
@@ -275,18 +274,14 @@ def test_persistent_exports_bit_identical_in_exact_mode():
 
     reference, _ = _deploy(tasks, "tcam")
     ref = reference.process_trace_sharded(
-        trace, workers=1, backend="serial", collect_exports=True
+        trace, workers=1, collect_exports=True
     )
     pooled, _ = _deploy(tasks, "tcam")
     try:
         report = pooled.process_trace_sharded(
-            trace,
-            workers=4,
-            backend="process",
-            runtime="persistent",
-            exact_exports=True,
+            trace, workers=4, exact_exports=True
         )
-        assert report.runtime == "persistent"
+        assert report.backend == "process"
         assert set(report.exports) == set(ref.exports)
         for name in sorted(ref.exports):
             np.testing.assert_array_equal(
@@ -305,11 +300,11 @@ def test_exports_bit_identical_in_exact_mode():
 
     reference, _ = _deploy(tasks, "tcam")
     ref = reference.process_trace_sharded(
-        trace, workers=1, backend="serial", collect_exports=True
+        trace, workers=1, collect_exports=True
     )
     sharded, _ = _deploy(tasks, "tcam")
-    report = sharded.process_trace_sharded(
-        trace, workers=4, backend="serial", exact_exports=True
+    report = run_sharded(
+        sharded.groups, trace, workers=4, exact_exports=True, pool=None
     )
     assert set(report.exports) == set(ref.exports)
     for name in sorted(ref.exports):
