@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="roll the WAL to a new segment after N seal records (treats "
-        "--wal as a directory of wal-NNNNNN.jsonl segments)",
+        "--wal as a directory of wal-NNNNNN.seg segments)",
     )
     serve.add_argument(
         "--wal-segment-bytes",
@@ -1268,7 +1268,13 @@ def cmd_serve(args) -> int:
         if wal is not None:
             wal.close()  # may flush cached epochs via a final reattach
             status = wal.status()
-            line = f"wal: {wal.records_written} records"
+            line = (
+                f"wal: {wal.records_written} records, "
+                f"{status['bytes_written']} bytes (encode "
+                f"{status['encode_s'] * 1e3:.1f} ms, write "
+                f"{status['write_s'] * 1e3:.1f} ms, fsync "
+                f"{status['fsync_s'] * 1e3:.1f} ms)"
+            )
             if status["mode"] == "segmented":
                 line += f", segment {status['segment']} ({status['rolls']} roll(s))"
             if status["state"] != "ok":

@@ -10,6 +10,7 @@ from repro.analysis.estimators import (
     coupon_collector_inversion,
     hll_estimate,
     linear_counting_estimate,
+    rho32_batch,
     tune_coupon_probability,
 )
 from repro.core.algorithms.base import (
@@ -81,20 +82,18 @@ class FlyMonHll(CmuAlgorithm):
             )
         ]
 
+    def ranks(self) -> np.ndarray:
+        """Per-bucket HLL ranks recovered from the stored complement maxima:
+        0 for an empty bucket, ``rho_bits + 1`` for an all-zero minimum
+        hash, else its leading-zero count plus one (integer-exact, see
+        :func:`rho32_batch`)."""
+        stored = np.asarray(self.rows[0].read(), dtype=np.int64)
+        ranks = rho32_batch(~stored, skip_bits=32 - self.rho_bits)
+        return np.where(stored == 0, 0, ranks)
+
     def estimate(self) -> float:
         """Cardinality estimate from the stored complement maxima."""
-        stored = self.rows[0].read()
-        mask = (1 << self.rho_bits) - 1
-        ranks = np.zeros(len(stored), dtype=np.int64)
-        for i, value in enumerate(stored):
-            if value == 0:
-                continue  # empty bucket
-            min_hash = (~int(value)) & mask
-            if min_hash == 0:
-                ranks[i] = self.rho_bits + 1
-            else:
-                ranks[i] = self.rho_bits - min_hash.bit_length() + 1
-        return hll_estimate(ranks)
+        return hll_estimate(self.ranks())
 
 
 @register_algorithm

@@ -107,30 +107,13 @@ class NetworkTaskHandle:
         arrays, so shared flows count once."""
         merged = None
         for handle in self.per_switch.values():
-            algo = handle.algorithm
-            ranks = _hll_ranks(algo)
+            ranks = handle.algorithm.ranks()
             merged = ranks if merged is None else np.maximum(merged, ranks)
         return hll_estimate(merged) if merged is not None else 0.0
 
     def reset(self) -> None:
         for handle in self.per_switch.values():
             handle.reset()
-
-
-def _hll_ranks(algo) -> np.ndarray:
-    """Extract the per-bucket HLL ranks from a FlyMon-HLL deployment."""
-    stored = algo.rows[0].read()
-    mask = (1 << algo.rho_bits) - 1
-    ranks = np.zeros(len(stored), dtype=np.int64)
-    for i, value in enumerate(stored):
-        if value == 0:
-            continue
-        min_hash = (~int(value)) & mask
-        if min_hash == 0:
-            ranks[i] = algo.rho_bits + 1
-        else:
-            ranks[i] = algo.rho_bits - min_hash.bit_length() + 1
-    return ranks
 
 
 class NetworkCoordinator:

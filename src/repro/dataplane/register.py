@@ -371,13 +371,18 @@ class Register:
         return self._cells.astype(np.int64)
 
     def snapshot_into(self, out: np.ndarray) -> None:
-        """Copy the cells into a caller-provided native-dtype view.
+        """Copy the cells into a caller-provided array of the native dtype
+        or of ``int64`` (what :meth:`snapshot_cells` returns).
 
         The persistent shard runtime points ``out`` at a shared-memory
         window so worker register state crosses the process boundary as a
-        single memcpy instead of a pickled array.
+        single memcpy instead of a pickled array; the service's seal points
+        it at a recycled snapshot array.
         """
-        if out.shape != self._cells.shape or out.dtype != self._cells.dtype:
+        if out.shape != self._cells.shape or out.dtype not in (
+            self._cells.dtype,
+            np.int64,
+        ):
             raise ValueError(
                 f"snapshot view is {out.dtype}[{out.shape}], register holds "
                 f"{self._cells.dtype}[{self._cells.shape}]"

@@ -22,7 +22,7 @@ site                  where it fires
                       the dispatcher's per-shard timeout trips)
 ``wal_append``        :meth:`repro.service.wal.ServiceWal` record append,
                       before the write (``kill`` SIGKILLs the process,
-                      ``torn`` writes half the record then SIGKILLs)
+                      ``torn`` writes half the frame then SIGKILLs)
 ``wal_fsync``         the WAL's per-append ``os.fsync`` (raises ``OSError``,
                       as a dying disk would)
 ``wal_roll``          WAL segment roll, before the new segment's compaction

@@ -19,7 +19,10 @@ stream-monitoring abstraction):
   checkpoint + sealed epochs) that ``repro query`` resolves offline;
 * :mod:`repro.service.wal` -- a crash-consistent write-ahead log: control
   mutations and epoch seals appended as records, replayable into a
-  checkpoint-format artifact after a crash (``repro recover``).
+  checkpoint-format artifact after a crash (``repro recover``);
+* :mod:`repro.service.epoch_codec` -- the binary, checksummed frame those
+  records are: a sealed epoch is encoded once, in native-width cells, and
+  moved verbatim from then on.
 """
 
 from repro.service.engine import (

@@ -45,6 +45,8 @@ def _json_safe(value):
         return int(value)
     if isinstance(value, (np.floating,)):
         return float(value)
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iufb":
+        return value.tolist()
     if isinstance(value, (set, frozenset)):
         return sorted(_json_safe(v) for v in value)
     if isinstance(value, (list, tuple, np.ndarray)):

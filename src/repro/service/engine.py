@@ -5,7 +5,7 @@
 arbitrary chunks (whole traces, column batches, single packets), epochs
 rotate on packet-count or packet-time boundaries, and every rotation *seals*
 the epoch -- the hosting registers are snapshotted via
-:meth:`Register.snapshot_cells` into an immutable :class:`SealedEpoch`, the
+:meth:`Register.snapshot_into` into an immutable :class:`SealedEpoch`, the
 per-epoch alarm digests are drained, and the deployments are reset so the
 next window starts fresh.  Sealed epochs live in a bounded ring
 (``retain``), so long-running services hold a sliding time series of the
@@ -22,6 +22,7 @@ one-shot run of the same window exactly.
 from __future__ import annotations
 
 import copy
+import sys
 import threading
 import time
 from collections import deque
@@ -56,6 +57,62 @@ def _default_batch_size() -> int:
 class StaleEpochError(KeyError):
     """The queried task was not deployed when this epoch was sealed (or its
     deployment changed since), so the sealed snapshot cannot answer for it."""
+
+
+#: Cap on the bytes :class:`_SnapshotPool` parks per array length.
+SNAPSHOT_POOL_BYTES = 64 << 20
+
+
+def _sole_reference_count() -> Optional[int]:
+    """What ``sys.getrefcount`` says about an array only :meth:`reclaim`'s
+    local holds -- measured, in the statement shape ``reclaim`` uses, so the
+    test does not hard-code one interpreter's accounting.  ``None`` (never
+    recycle) where there are no reference counts to ask."""
+    if not hasattr(sys, "getrefcount"):
+        return None
+    _key, arr = {0: np.empty(0, dtype=np.int64)}.popitem()
+    return sys.getrefcount(arr)
+
+
+class _SnapshotPool:
+    """Parks the cell arrays of dead sealed epochs for the next seal.
+
+    A seal copies every hosting register into an ``int64`` array (512 KB
+    each).  Left to ``malloc``, that copy costs 0.7 ms when the pages are
+    still resident and 2.1 ms when the heap was trimmed since and they fault
+    back in 4 KB at a time -- which of the two depends on what else the
+    process freed, not on the seal.  So an epoch the service sealed hands its
+    arrays back when it dies (:meth:`SealedEpoch.__del__`), and only those:
+    every page of them has been written.  An array something else still
+    references (a bound estimator, a view) stays with its holder.  Lock-free
+    on purpose -- ``__del__`` can run inside any allocation, and ``list.pop``
+    / ``append`` are atomic.
+    """
+
+    def __init__(self, limit_bytes: int) -> None:
+        self.limit_bytes = limit_bytes
+        self._spare: Dict[int, List[np.ndarray]] = {}
+        self._sole = _sole_reference_count()
+
+    def take(self, size: int) -> np.ndarray:
+        """An ``int64[size]`` array with arbitrary contents."""
+        try:
+            return self._spare[size].pop()
+        except (KeyError, IndexError):
+            return np.empty(size, dtype=np.int64)
+
+    def reclaim(self, cells: Dict[Tuple[int, int], np.ndarray]) -> None:
+        """Empty ``cells``, keeping the arrays nothing else refers to."""
+        while cells and self._sole is not None:
+            _key, arr = cells.popitem()
+            if sys.getrefcount(arr) != self._sole:
+                continue
+            spare = self._spare.setdefault(len(arr), [])
+            if (len(spare) + 1) * arr.nbytes <= self.limit_bytes:
+                spare.append(arr)
+
+
+_SNAPSHOTS = _SnapshotPool(SNAPSHOT_POOL_BYTES)
 
 
 class SealedRowView:
@@ -166,6 +223,15 @@ class SealedEpoch:
             f"SealedEpoch(index={self.index}, packets={self.packets}, "
             f"tasks={sorted(self.task_ids)})"
         )
+
+    #: Set by the service on the epochs it seals: their ``cells`` came from
+    #: :data:`_SNAPSHOTS` and go back to it when the epoch dies.
+    _pooled = False
+
+    def __del__(self) -> None:
+        if self._pooled and not sys.is_finalizing():
+            self._bound.clear()  # the cached estimators' views of the arrays
+            _SNAPSHOTS.reclaim(self._cells)
 
     # -- sealed state access ------------------------------------------------
 
@@ -587,8 +653,19 @@ class MeasurementService:
             "wal_lost_seals": (
                 self._wal.lost_seals if self._wal is not None else 0
             ),
+            **self._wal_io(),
             "sealer_restarts": self.sealer_restarts,
             "sealer_missed_deadlines": self.sealer_missed_deadlines,
+        }
+
+    def _wal_io(self) -> Dict[str, object]:
+        """Where the WAL's time goes (cumulative bytes and seconds spent
+        encoding, writing and fsyncing), as ``stats()`` / ``health()`` keys."""
+        if self._wal is None:
+            return {}
+        return {
+            "wal_" + key: getattr(self._wal, key)
+            for key in ("bytes_written", "encode_s", "write_s", "fsync_s")
         }
 
     def health(self) -> Dict[str, object]:
@@ -649,6 +726,7 @@ class MeasurementService:
             "status": ("ok", "degraded", "failing")[rank],
             "reasons": reasons,
             "wal_state": wal_status["state"] if wal_status else None,
+            **self._wal_io(),
             "sealer_alive": (
                 self._wall_thread.is_alive()
                 if self._wall_thread is not None
@@ -823,10 +901,17 @@ class MeasurementService:
             with _RECORDER.span("rotate.snapshot", cat="service"):
                 handles = self.controller.tasks
                 registers = self._hosting_rows(handles)
-                cells = {
-                    key: register.snapshot_cells()
-                    for key, register in registers.items()
-                }
+                # Not under a shard pool: its resident workers are forks, so
+                # a page parked before the fork is copied on its next write.
+                recycle = self.workers == 1
+                cells: Dict[Tuple[int, int], np.ndarray] = {}
+                for key, register in registers.items():
+                    cells[key] = (
+                        _SNAPSHOTS.take(register.size)
+                        if recycle
+                        else np.empty(register.size, dtype=np.int64)
+                    )
+                    register.snapshot_into(cells[key])
             with _RECORDER.span("rotate.digests", cat="service"):
                 digest_sets: Dict[Tuple[int, int, int], set] = {}
                 for handle in handles:
@@ -846,6 +931,7 @@ class MeasurementService:
                 task_ids=[handle.task_id for handle in handles],
                 digest_sets=digest_sets,
             )
+            sealed._pooled = recycle
             self._ring.append(sealed)
 
             # Capture the WAL's per-task payload before watchers can

@@ -8,16 +8,25 @@ config), then one appended record per committed control-plane mutation
 (``op``) and per sealed epoch (``seal``).  Every append is flushed and
 fsync'd before the service proceeds, so after a crash -- ``kill -9``
 included -- the log contains every epoch that was ever sealed, plus at
-most one torn trailing line (the record being written at the instant of
+most one torn trailing frame (the record being written at the instant of
 death), which recovery ignores.
+
+Records are the binary, checksummed frames of
+:mod:`repro.service.epoch_codec` (``WAL_VERSION = 3``).  A sealed epoch is
+encoded exactly once, in :meth:`ServiceWal.append_seal`; the frame's bytes
+are cached in a ``retain``-deep ring, and every later base record (attach,
+roll, reattach, single-file rewrite) splices the cached frames in verbatim
+behind a JSON header -- a roll encodes no epoch.  Logs of the JSON-lines
+releases (versions 1 and 2) are refused by name: recover them with the
+release that wrote them before upgrading.
 
 Two on-disk layouts share one record format:
 
-* **single file** (``ServiceWal(path)``) -- one unbounded JSON-lines log,
-  exactly PR 8's layout; right for short runs and kept for compatibility;
+* **single file** (``ServiceWal(path)``) -- one unbounded log; right for
+  short runs;
 * **segmented directory** (``segment_seals=`` / ``segment_bytes=``, or an
-  existing directory path) -- numbered segments ``wal-000001.jsonl``,
-  ``wal-000002.jsonl``, ...  When the live segment crosses a seal-count or
+  existing directory path) -- numbered segments ``wal-000001.seg``,
+  ``wal-000002.seg``, ...  When the live segment crosses a seal-count or
   byte threshold the WAL *rolls*: it opens the next segment with a fresh
   ``base`` record that embeds the retained sealed epochs
   (checkpoint-based compaction, bounded by the service's ``retain``), so
@@ -70,7 +79,6 @@ checkpoint semantics (interpreting sealed cells needs a live deployment).
 from __future__ import annotations
 
 import errno
-import json
 import os
 import re
 import signal
@@ -86,6 +94,18 @@ from repro.faults import (
     SITE_WAL_FSYNC,
     SITE_WAL_ROLL,
 )
+from repro.service.epoch_codec import (
+    FORMAT_VERSION,
+    KIND_BASE,
+    KIND_OP,
+    KIND_SEAL,
+    CodecError,
+    decode_epoch,
+    encode_frame,
+    iter_frames,
+    pack_tasks,
+    split_frames,
+)
 from repro.telemetry import (
     EV_WAL_DEGRADED,
     EV_WAL_REATTACHED,
@@ -93,11 +113,9 @@ from repro.telemetry import (
     TELEMETRY as _TELEMETRY,
 )
 
-WAL_VERSION = 2
-#: Versions :func:`recover_service_artifact` understands (1 = PR 8's
-#: single-file logs, 2 = segmented/compacted logs; the record formats are
-#: identical apart from the base's optional ``segment``/``epochs`` fields).
-SUPPORTED_WAL_VERSIONS = (1, 2)
+#: 3 = binary frames (:mod:`repro.service.epoch_codec`).  1 and 2 were the
+#: JSON-lines logs; this release does not read them.
+WAL_VERSION = FORMAT_VERSION
 
 POLICY_FAIL = "fail"
 POLICY_DEGRADE = "degrade"
@@ -107,18 +125,28 @@ STATE_OK = "ok"
 STATE_DEGRADED = "degraded"
 STATE_FAILED = "failed"
 
-_SEGMENT_RE = re.compile(r"^wal-(\d{6})\.jsonl$")
+_SEGMENT_RE = re.compile(r"^wal-(\d{6})\.(seg|jsonl)$")
+_RECORD_TYPES = {KIND_BASE: "base", KIND_OP: "op", KIND_SEAL: "seal"}
 
 
 class WalError(ValueError):
     """The log is unusable: bad version, missing base, or mid-log
-    corruption (anything other than a torn final line)."""
+    corruption (anything other than a torn final frame)."""
 
 
 class WalWriteError(WalError):
     """A WAL append failed under ``policy="fail"``: storage refused the
     write, so ingest must stop (the sealed epoch stays intact in memory,
     and everything previously fsync'd stays recoverable)."""
+
+
+def _refuse_json_log(path: str, version: str) -> None:
+    """WAL versions 1 and 2 were JSON lines (segments named ``*.jsonl``)."""
+    raise WalError(
+        f"{path}: WAL version {version} (JSON lines); this release reads "
+        f"version {WAL_VERSION} only -- recover the log with the release "
+        "that wrote it before upgrading"
+    )
 
 
 def _fsync_dir(path: str) -> None:
@@ -136,6 +164,8 @@ def wal_segments(path: str) -> List[Tuple[int, str]]:
     for name in os.listdir(path):
         match = _SEGMENT_RE.match(name)
         if match:
+            if match.group(2) == "jsonl":
+                _refuse_json_log(os.path.join(path, name), version="2")
             out.append((int(match.group(1)), os.path.join(path, name)))
     out.sort()
     return out
@@ -213,13 +243,18 @@ class ServiceWal:
         self._segment_index = 0
         self._seals_in_segment = 0
         self._bytes_in_segment = 0
-        # Bounded (retain-deep) cache of the newest seal records, each
-        # flagged durable once it is known to live in the current log.
-        # This is what a reattach base embeds, and what bounds loss.
+        # Bounded (retain-deep) cache of the newest seal frames (the encoded
+        # bytes), each flagged durable once it is known to live in the
+        # current log.  This is what every base embeds, and what bounds loss.
         self._cache: List[Dict[str, object]] = []
         self._backoff = self.reattach_backoff_s
         self._next_attempt = 0.0
         self.records_written = 0
+        # Cumulative cost split, so the fsync share is measured, not guessed.
+        self.bytes_written = 0
+        self.encode_s = 0.0
+        self.write_s = 0.0
+        self.fsync_s = 0.0
         self.rolls = 0
         self.lost_seals = 0
         self.seals_deferred = 0
@@ -253,7 +288,7 @@ class ServiceWal:
         # pre-fill the cache so the first base record embeds them.
         for sealed in service.epochs:
             self._cache_seal(
-                self._seal_record(
+                self._seal_frame(
                     sealed, self.capture_epoch_tasks(sealed, controller.tasks)
                 )
             )
@@ -286,16 +321,20 @@ class ServiceWal:
                 "fresh segment alongside it"
             )
         self._segment_index = (existing[-1][0] if existing else 0) + 1
-        fh = open(self._segment_path(self._segment_index), "w", encoding="utf-8")
+        fh = open(self._segment_path(self._segment_index), "wb")
         self._fh = fh
         self._bytes_in_segment = self._write_record(
-            fh, self._base_record(segment=self._segment_index)
+            fh, self._base_frame(segment=self._segment_index), "base"
         )
         self._seals_in_segment = 0
-        _fsync_dir(self.path)
+        self._sync_dir(self.path)
         self._mark_cache_durable()
 
     def _attach_single_file(self) -> None:
+        # The directory entry must be as durable as the records: without
+        # these syncs a power loss can leave no log at all behind a run
+        # whose every record was fsync'd.
+        parent = os.path.dirname(os.path.abspath(self.path))
         if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
             if not self.resume:
                 raise WalError(
@@ -305,8 +344,10 @@ class ServiceWal:
                     "or pass resume=True (--wal-force) to rotate it aside"
                 )
             os.replace(self.path, self.path + ".prev")
-        self._fh = open(self.path, "w", encoding="utf-8")
-        self._write_record(self._fh, self._base_record())
+            self._sync_dir(parent)
+        self._fh = open(self.path, "wb")
+        self._write_record(self._fh, self._base_frame(), "base")
+        self._sync_dir(parent)
         self._mark_cache_durable()
 
     def close(self) -> None:
@@ -336,13 +377,16 @@ class ServiceWal:
     # -- record construction --------------------------------------------
 
     def _segment_path(self, index: int) -> str:
-        return os.path.join(self.path, f"wal-{index:06d}.jsonl")
+        return os.path.join(self.path, f"wal-{index:06d}.seg")
 
-    def _base_record(self, segment: Optional[int] = None) -> Dict[str, object]:
+    def _base_frame(self, segment: Optional[int] = None) -> bytes:
+        """The base record: a JSON header, then the cached seal frames
+        spliced in whole (checkpoint-based compaction -- the retained
+        sealed epochs ride inside the base, so every earlier segment
+        becomes redundant, and no epoch is encoded a second time)."""
+        started = time.perf_counter()
         service = self._service
-        record: Dict[str, object] = {
-            "type": "base",
-            "version": WAL_VERSION,
+        header: Dict[str, object] = {
             "controller": service.controller.checkpoint(),
             "rotation": {
                 "epoch_packets": service.epoch_packets,
@@ -354,15 +398,19 @@ class ServiceWal:
             "series": sorted(service._series),
         }
         if segment is not None:
-            record["segment"] = segment
-        if self._cache:
-            # Checkpoint-based compaction: the retained sealed epochs ride
-            # inside the base, so every earlier segment becomes redundant.
-            record["epochs"] = [entry["record"] for entry in self._cache]
-        return record
+            header["segment"] = segment
+        frame = encode_frame(
+            KIND_BASE, header, [entry["frame"] for entry in self._cache]
+        )
+        self.encode_s += time.perf_counter() - started
+        return frame
 
-    def capture_epoch_tasks(self, sealed, handles) -> Dict[str, object]:
-        """Per-task sealed payloads keyed by the *live* task id.
+    def capture_epoch_tasks(
+        self, sealed, handles
+    ) -> Tuple[Dict[str, object], List[bytes]]:
+        """Per-task sealed payloads keyed by the *live* task id: the seal
+        frame's ``tasks`` header entry and its body chunks (each row's
+        cells, already narrowed to their on-disk dtype).
 
         Called by the service immediately after the snapshot, before
         watchers run: a watcher resize removes the old deployment, after
@@ -370,62 +418,82 @@ class ServiceWal:
         """
         from repro.service.checkpoint import _json_safe
 
-        tasks: Dict[str, object] = {}
-        for handle in handles:
-            if not sealed.has_task(handle.task_id):
-                continue
-            tasks[str(handle.task_id)] = {
-                "rows": [values.tolist() for values in sealed.read_rows(handle)],
-                "digests": [
+        started = time.perf_counter()
+        packed = pack_tasks(
+            (
+                handle.task_id,
+                sealed.read_rows(handle),
+                [
                     sorted(_json_safe(flow) for flow in digests)
                     for digests in sealed.digests(handle)
                 ],
-            }
-        return tasks
+            )
+            for handle in handles
+            if sealed.has_task(handle.task_id)
+        )
+        self.encode_s += time.perf_counter() - started
+        return packed
 
-    def _seal_record(self, sealed, tasks: Dict[str, object]) -> Dict[str, object]:
+    def _seal_frame(self, sealed, tasks) -> bytes:
+        """Encode the epoch -- the one time it is ever encoded."""
         from repro.service.checkpoint import _json_safe
 
-        return {
-            "type": "seal",
-            "index": sealed.index,
-            "packets": sealed.packets,
-            "start_ts": sealed.start_ts,
-            "end_ts": sealed.end_ts,
-            "seal_ms": sealed.seal_ms,
-            "tasks": tasks,
-            "outputs": _json_safe(sealed.outputs),
-            "watcher_events": _json_safe(sealed.watcher_events),
-        }
+        started = time.perf_counter()
+        specs, chunks = tasks
+        frame = encode_frame(
+            KIND_SEAL,
+            {
+                "index": sealed.index,
+                "packets": sealed.packets,
+                "start_ts": sealed.start_ts,
+                "end_ts": sealed.end_ts,
+                "seal_ms": sealed.seal_ms,
+                "tasks": specs,
+                "outputs": _json_safe(sealed.outputs),
+                "watcher_events": _json_safe(sealed.watcher_events),
+            },
+            chunks,
+        )
+        self.encode_s += time.perf_counter() - started
+        return frame
 
     # -- guarded writes -------------------------------------------------
 
-    def _write_record(self, fh, record: Dict[str, object]) -> int:
+    def _sync_dir(self, path: str) -> None:
+        started = time.perf_counter()
+        _fsync_dir(path)
+        self.fsync_s += time.perf_counter() - started
+
+    def _write_record(self, fh, frame: bytes, kind: str) -> int:
         """One fsync'd append through the storage fault sites; returns the
-        record's byte length (the segment-size accounting unit)."""
+        frame's byte length (the segment-size accounting unit)."""
         if fh is None:
             raise OSError(errno.EBADF, "WAL file is not open")
-        line = json.dumps(record, sort_keys=True) + "\n"
-        arg = FAULTS.trip(SITE_WAL_APPEND, type=record.get("type"))
+        arg = FAULTS.trip(SITE_WAL_APPEND, type=kind)
         if arg is not None:
-            self._execute_crash_arg(arg, fh, line, site=SITE_WAL_APPEND)
-        if FAULTS.trip(SITE_DISK_FULL, type=record.get("type")) is not None:
+            self._execute_crash_arg(arg, fh, frame, site=SITE_WAL_APPEND)
+        if FAULTS.trip(SITE_DISK_FULL, type=kind) is not None:
             raise OSError(errno.ENOSPC, "injected disk_full: no space left")
-        fh.write(line)
+        started = time.perf_counter()
+        fh.write(frame)
         fh.flush()
-        if FAULTS.trip(SITE_WAL_FSYNC, type=record.get("type")) is not None:
+        written = time.perf_counter()
+        self.write_s += written - started
+        if FAULTS.trip(SITE_WAL_FSYNC, type=kind) is not None:
             raise OSError(errno.EIO, "injected wal_fsync failure")
         os.fsync(fh.fileno())
+        self.fsync_s += time.perf_counter() - written
         self.records_written += 1
-        return len(line)
+        self.bytes_written += len(frame)
+        return len(frame)
 
     @staticmethod
-    def _execute_crash_arg(arg, fh, line: str, site: str) -> None:
-        """``kill`` dies before the write; ``torn`` leaves half the record
+    def _execute_crash_arg(arg, fh, frame: bytes, site: str) -> None:
+        """``kill`` dies before the write; ``torn`` leaves half the frame
         on disk first (the canonical crash-mid-append signature); anything
         else surfaces as an I/O error for the policy ladder."""
         if arg == "torn":
-            fh.write(line[: max(1, len(line) // 2)])
+            fh.write(frame[: max(1, len(frame) // 2)])
             fh.flush()
             os.fsync(fh.fileno())
         if arg in ("kill", "torn"):
@@ -469,17 +537,17 @@ class ServiceWal:
             return
         try:
             self._bytes_in_segment += self._write_record(
-                self._fh, {"type": "op", "entry": entry}
+                self._fh, encode_frame(KIND_OP, {"entry": entry}), "op"
             )
         except (OSError, FaultError) as exc:
             self.ops_deferred += 1
             self._handle_write_failure(exc, kind="op")
 
-    def append_seal(self, sealed, tasks: Dict[str, object]) -> None:
+    def append_seal(self, sealed, tasks) -> None:
         """Append the epoch's seal record (series outputs and watcher
         events are final by now -- the service calls this last)."""
-        record = self._seal_record(sealed, tasks)
-        entry = self._cache_seal(record)
+        frame = self._seal_frame(sealed, tasks)
+        entry = self._cache_seal(frame)
         if self._state != STATE_OK:
             if self.policy == POLICY_FAIL:
                 raise WalWriteError(
@@ -491,7 +559,7 @@ class ServiceWal:
             self._try_reattach()
             return
         try:
-            written = self._write_record(self._fh, record)
+            written = self._write_record(self._fh, frame, "seal")
         except (OSError, FaultError) as exc:
             self.seals_deferred += 1
             self._handle_write_failure(exc, kind="seal")
@@ -501,8 +569,8 @@ class ServiceWal:
         self._bytes_in_segment += written
         self._maybe_roll()
 
-    def _cache_seal(self, record: Dict[str, object]) -> Dict[str, object]:
-        entry = {"record": record, "durable": False}
+    def _cache_seal(self, frame: bytes) -> Dict[str, object]:
+        entry = {"frame": frame, "durable": False}
         self._cache.append(entry)
         while len(self._cache) > max(1, self._retain):
             evicted = self._cache.pop(0)
@@ -552,12 +620,12 @@ class ServiceWal:
         arg = FAULTS.trip(SITE_WAL_ROLL, segment=next_index)
         if arg is not None:
             self._execute_roll_fault(arg, next_index)
-        fh = open(self._segment_path(next_index), "w", encoding="utf-8")
+        fh = open(self._segment_path(next_index), "wb")
         try:
             base_bytes = self._write_record(
-                fh, self._base_record(segment=next_index)
+                fh, self._base_frame(segment=next_index), "base"
             )
-            _fsync_dir(self.path)
+            self._sync_dir(self.path)
         except BaseException:
             fh.close()
             raise
@@ -591,9 +659,9 @@ class ServiceWal:
             open(path, "w").close()
             os.kill(os.getpid(), signal.SIGKILL)
         if arg == "torn":
-            line = json.dumps(self._base_record(segment=next_index), sort_keys=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(line[: max(1, len(line) // 2)])
+            frame = self._base_frame(segment=next_index)
+            with open(path, "wb") as fh:
+                fh.write(frame[: max(1, len(frame) // 2)])
                 fh.flush()
                 os.fsync(fh.fileno())
             os.kill(os.getpid(), signal.SIGKILL)
@@ -611,7 +679,7 @@ class ServiceWal:
             except OSError:
                 pass  # pruning is best-effort; an orphan is only disk space
         if pruned:
-            _fsync_dir(self.path)
+            self._sync_dir(self.path)
         return pruned
 
     # -- degradation / reattach -----------------------------------------
@@ -658,17 +726,17 @@ class ServiceWal:
         """Atomically replace the single-file log with a fresh base whose
         embedded epochs are the cached (retain-deep) seal records."""
         tmp = self.path + ".tmp"
-        fh = open(tmp, "w", encoding="utf-8")
+        fh = open(tmp, "wb")
         try:
-            self._write_record(fh, self._base_record())
+            self._write_record(fh, self._base_frame(), "base")
         except BaseException:
             fh.close()
             raise
         fh.close()
         os.replace(tmp, self.path)
-        _fsync_dir(os.path.dirname(os.path.abspath(self.path)))
+        self._sync_dir(os.path.dirname(os.path.abspath(self.path)))
         old = self._fh
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh = open(self.path, "ab")
         if old is not None:
             try:
                 old.close()
@@ -691,6 +759,10 @@ class ServiceWal:
             "seals_in_segment": self._seals_in_segment,
             "bytes_in_segment": self._bytes_in_segment,
             "records_written": self.records_written,
+            "bytes_written": self.bytes_written,
+            "encode_s": self.encode_s,
+            "write_s": self.write_s,
+            "fsync_s": self.fsync_s,
             "rolls": self.rolls,
             "lost_seals": self.lost_seals,
             "seals_deferred": self.seals_deferred,
@@ -707,30 +779,41 @@ class ServiceWal:
 # ---------------------------------------------------------------------------
 
 
-def iter_wal_records(path: str) -> Iterator[Dict[str, object]]:
-    """Stream a WAL file's records, tolerating exactly one torn tail line.
+def _record(kind: int, header: Dict[str, object], body) -> Dict[str, object]:
+    """A frame as the mapping recovery works on: ``type`` is ``base`` /
+    ``op`` / ``seal``, a seal's rows are arrays over the frame's bytes, a
+    base's ``epochs`` are the seal records spliced into it."""
+    if kind not in _RECORD_TYPES:
+        raise CodecError(f"unknown record kind {kind}")
+    if kind == KIND_SEAL:
+        record = decode_epoch(header, body)
+    else:
+        record = dict(header)
+    if kind == KIND_BASE:
+        record["epochs"] = [_record(*frame) for frame in split_frames(body)]
+    record["type"] = _RECORD_TYPES[kind]
+    return record
 
-    Reads line-by-line (an hours-long log never lands in memory at once).
-    A record that fails to parse anywhere *before* the final line means
-    real corruption and raises :class:`WalError`; a torn final line is the
-    expected signature of a crash mid-append and is silently dropped.
+
+def iter_wal_records(path: str) -> Iterator[Dict[str, object]]:
+    """Stream a WAL file's records, tolerating exactly one torn tail frame.
+
+    Reads frame by frame (an hours-long log never lands in memory at once).
+    A frame that is cut short or fails a checksum anywhere *before* the
+    final one means real corruption and raises :class:`WalError`; a torn
+    final frame is the expected signature of a crash mid-append and is
+    silently dropped.
     """
-    pending: Optional[Tuple[int, Exception]] = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            if pending is not None:
-                raise WalError(
-                    f"{path}:{pending[0]}: corrupt WAL record mid-log: "
-                    f"{pending[1]}"
-                )
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                pending = (lineno, exc)  # torn only if nothing follows
-                continue
-            yield record
+    with open(path, "rb") as fh:
+        if fh.peek(1)[:1] == b"{":
+            # The old writer sorted keys, so "version" closes the base line.
+            found = re.search(rb'"version": (\d+)\}\s*$', fh.readline())
+            _refuse_json_log(path, found.group(1).decode() if found else "1 or 2")
+        try:
+            for frame in iter_frames(fh, path):
+                yield _record(*frame)
+        except CodecError as exc:
+            raise WalError(str(exc)) from exc
 
 
 def read_wal_records(path: str) -> List[Dict[str, object]]:
@@ -743,12 +826,12 @@ def _pick_segment(path: str) -> Tuple[int, str, List[Dict[str, object]], int]:
     per torn/empty base (the mid-roll crash signature)."""
     segments = wal_segments(path)
     if not segments:
-        raise WalError(f"{path}: empty WAL directory (no wal-NNNNNN.jsonl)")
+        raise WalError(f"{path}: empty WAL directory (no wal-NNNNNN.seg)")
     for position in range(len(segments) - 1, -1, -1):
         index, seg_path = segments[position]
         records = read_wal_records(seg_path)  # mid-log corruption raises
         if not records:
-            # Empty or a single torn line: the crash interrupted the roll
+            # Empty or a single torn frame: the crash interrupted the roll
             # before this segment's base became durable.
             if position == 0:
                 raise WalError(
@@ -764,9 +847,10 @@ def _pick_segment(path: str) -> Tuple[int, str, List[Dict[str, object]], int]:
     raise WalError(f"{path}: no segment holds an intact base record")
 
 
-def recover_service_artifact(path: str) -> Dict[str, object]:
+def _replay(path: str) -> Dict[str, object]:
     """Replay a WAL (single file or segment directory) into a
-    :func:`service_checkpoint`-format artifact."""
+    :func:`service_checkpoint`-shaped artifact whose rows are still the
+    arrays the frames decoded to."""
     from repro.service.checkpoint import (
         ARTIFACT_VERSION,
         _json_safe,
@@ -791,10 +875,6 @@ def recover_service_artifact(path: str) -> Dict[str, object]:
     if base.get("type") != "base":
         raise WalError(
             f"{origin}: first record is {base.get('type')!r}, not base"
-        )
-    if base.get("version") not in SUPPORTED_WAL_VERSIONS:
-        raise WalError(
-            f"{origin}: unsupported WAL version {base.get('version')!r}"
         )
 
     ops = [r for r in records[1:] if r.get("type") == "op"]
@@ -869,8 +949,21 @@ def recover_service_artifact(path: str) -> Dict[str, object]:
     }
 
 
+def recover_service_artifact(path: str) -> Dict[str, object]:
+    """Replay a WAL (single file or segment directory) into a JSON-safe
+    :func:`service_checkpoint`-format artifact."""
+    from repro.service.checkpoint import _json_safe
+
+    artifact = _replay(path)
+    for epoch in artifact["epochs"]:
+        for payload in epoch["tasks"].values():
+            payload["rows"] = _json_safe(payload["rows"])
+    return artifact
+
+
 def recover_service(path: str):
-    """Rebuild a queryable :class:`RestoredService` straight from a WAL."""
+    """Rebuild a queryable :class:`RestoredService` straight from a WAL
+    (the decoded arrays go to :func:`load_service_state` as they are)."""
     from repro.service.checkpoint import load_service_state
 
-    return load_service_state(recover_service_artifact(path))
+    return load_service_state(_replay(path))

@@ -1,7 +1,11 @@
 """Unit tests for the built-in algorithms' planning logic and registry."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
+from repro.analysis.estimators import hll_estimate
 from repro.core.algorithms import ALGORITHM_REGISTRY, default_algorithm_for
 from repro.core.algorithms.base import fields_from_flow
 from repro.core.algorithms.frequency import TOWER_LAYOUT
@@ -133,3 +137,57 @@ class TestFieldsFromFlow:
         key = FlowKeyDef.of("src_ip", "dst_port")
         fields = fields_from_flow(key, (5, 80))
         assert fields == {"src_ip": 5, "dst_port": 80}
+
+
+def _hll_ranks_loop(stored, rho_bits):
+    """``FlyMonHll.estimate``'s rank extraction as it was before it was
+    vectorised: one Python iteration per bucket.  Kept as the reference."""
+    mask = (1 << rho_bits) - 1
+    ranks = np.zeros(len(stored), dtype=np.int64)
+    for i, value in enumerate(stored):
+        if value == 0:
+            continue  # empty bucket
+        min_hash = (~int(value)) & mask
+        if min_hash == 0:
+            ranks[i] = rho_bits + 1
+        else:
+            ranks[i] = rho_bits - min_hash.bit_length() + 1
+    return ranks
+
+
+class TestHllRanksVectorised:
+    """The vectorised rank extraction is integer-exact: same ranks as the
+    per-bucket loop, so ``hll_estimate`` returns the same float."""
+
+    @staticmethod
+    def _algo(stored):
+        task = MeasurementTask(
+            key=KEY_DST_IP,
+            attribute=AttributeSpec.distinct(KEY_SRC_IP),
+            memory=len(stored),
+            depth=1,
+            algorithm="hll",
+        )
+        algo = ALGORITHM_REGISTRY["hll"](task)
+        algo.rows = [SimpleNamespace(read=lambda: stored.copy())]
+        return algo
+
+    @pytest.mark.parametrize(
+        "stored",
+        [
+            np.random.default_rng(7).integers(0, 1 << 16, 4096, dtype=np.int64),
+            np.random.default_rng(8).integers(0, 1 << 16, 64).astype(np.uint16),
+            np.zeros(1024, dtype=np.int64),
+            np.full(1024, 0xFFFF, dtype=np.int64),
+            np.array([1 << bit for bit in range(16)], dtype=np.int64),
+            np.array([0xFFFF ^ (1 << bit) for bit in range(16)], dtype=np.int64),
+        ],
+        ids=["random", "random-u16", "all-zero", "all-ones", "single-bit-set",
+             "single-bit-clear"],
+    )
+    def test_matches_the_per_bucket_loop(self, stored):
+        algo = self._algo(stored)
+        expected = _hll_ranks_loop(stored, algo.rho_bits)
+        assert algo.ranks().dtype == np.int64
+        assert algo.ranks().tolist() == expected.tolist()
+        assert algo.estimate() == hll_estimate(expected)

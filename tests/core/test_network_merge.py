@@ -8,7 +8,7 @@ observation model.
 
 import numpy as np
 
-from repro.core.network import NetworkCoordinator, _hll_ranks
+from repro.core.network import NetworkCoordinator
 from repro.core.task import AttributeSpec, MeasurementTask
 from repro.traffic import KEY_SRC_IP, Trace, zipf_trace
 from repro.traffic.packet import PACKET_FIELDS
@@ -73,10 +73,10 @@ class TestHllMerge:
         solo.process({"solo": trace})
 
         merged_ranks = np.maximum(
-            _hll_ranks(pair_handle.per_switch["a"].algorithm),
-            _hll_ranks(pair_handle.per_switch["b"].algorithm),
+            pair_handle.per_switch["a"].algorithm.ranks(),
+            pair_handle.per_switch["b"].algorithm.ranks(),
         )
-        solo_ranks = _hll_ranks(solo_handle.per_switch["solo"].algorithm)
+        solo_ranks = solo_handle.per_switch["solo"].algorithm.ranks()
         assert merged_ranks.tolist() == solo_ranks.tolist()
         assert (
             pair_handle.merged_cardinality()

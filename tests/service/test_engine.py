@@ -10,6 +10,7 @@ from repro.service import (
     MeasurementService,
     StaleEpochError,
 )
+from repro.service.engine import _SnapshotPool
 from repro.traffic import zipf_trace
 from repro.traffic.packet import PACKET_FIELDS
 from repro.traffic.trace import Trace
@@ -213,6 +214,43 @@ class TestRetention:
         assert service.epoch(retained[0]).index == retained[0]
         with pytest.raises(StaleEpochError):
             service.epoch(0)
+
+    def test_epoch_held_past_eviction_keeps_its_cells(self, controller):
+        """The ring recycles the arrays of dead epochs; one the caller still
+        holds -- or whose bound estimator it holds -- is not dead."""
+        handle = controller.add_task(freq_task())
+        service = MeasurementService(controller, epoch_packets=100, retain=2)
+        trace = zipf_trace(num_flows=50, num_packets=1400, seed=14)
+        first, second = service.ingest(trace.select(np.arange(200)))
+        rows = _rows(first, handle)
+        estimator = second.bind(handle)
+        bound_rows = [row.read().tolist() for row in estimator.rows]
+        del second
+        service.ingest(trace.select(np.arange(200, 1400)))
+        assert first.index not in [s.index for s in service.epochs]
+        assert _rows(first, handle) == rows
+        assert [row.read().tolist() for row in estimator.rows] == bound_rows
+
+    def test_snapshot_pool_keeps_only_unreferenced_arrays(self):
+        pool = _SnapshotPool(limit_bytes=2 * 64 * 8)
+        held = np.zeros(64, dtype=np.int64)
+        viewed = np.zeros(64, dtype=np.int64)
+        view = viewed[:8]
+        cells = {
+            (0, 0): held,
+            (0, 1): viewed,
+            (0, 2): np.ones(64, dtype=np.int64),
+            (1, 0): np.ones(64, dtype=np.int64),
+            (1, 1): np.ones(64, dtype=np.int64),  # over the limit
+        }
+        del viewed
+        parked = {id(cells[key]) for key in ((0, 2), (1, 0), (1, 1))}
+        pool.reclaim(cells)
+        assert not cells
+        taken = [pool.take(64) for _ in range(3)]
+        assert len({id(arr) for arr in taken} & parked) == 2
+        assert all(arr is not held and arr is not view.base for arr in taken)
+        assert pool.take(32).shape == (32,)
 
     def test_series_over_ring(self, controller):
         handle = controller.add_task(hll_task())

@@ -35,10 +35,12 @@ from repro.service import (
     resize_action,
     service_checkpoint,
 )
+from repro.service.epoch_codec import KIND_SEAL, encode_frame
 from repro.service.wal import read_wal_records
 from repro.traffic import zipf_trace
 
 from service_tasks import freq_task, hll_task
+from wal_frames import frame_spans
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -124,29 +126,71 @@ class TestInProcessParity:
         wal_path = tmp_path / "svc.wal"
         self._run(controller, wal_path)
         intact = recover_service_artifact(str(wal_path))
-        with open(wal_path, "a", encoding="utf-8") as fh:
-            fh.write('{"type": "seal", "index": 99, "pack')  # the crash
+        data = wal_path.read_bytes()
+        last = frame_spans(wal_path)[-1]
+        half = data[last.start : (last.start + last.end) // 2]
+        with open(wal_path, "ab") as fh:
+            fh.write(half)  # the crash: half of one more seal frame
         torn = recover_service_artifact(str(wal_path))
         assert torn["epochs"] == intact["epochs"]
 
     def test_midlog_corruption_raises(self, controller, tmp_path):
         wal_path = tmp_path / "svc.wal"
         self._run(controller, wal_path)
-        lines = wal_path.read_text().splitlines()
-        lines[1] = lines[1][: len(lines[1]) // 2]  # truncate a middle record
-        wal_path.write_text("\n".join(lines) + "\n")
+        data = wal_path.read_bytes()
+        middle = frame_spans(wal_path)[1]
+        cut = (middle.start + middle.end) // 2  # truncate a middle record
+        wal_path.write_bytes(data[:cut] + data[middle.end :])
         with pytest.raises(WalError, match="mid-log"):
             read_wal_records(str(wal_path))
 
     def test_empty_and_baseless_wals_are_rejected(self, controller, tmp_path):
         empty = tmp_path / "empty.wal"
-        empty.write_text("")
+        empty.write_bytes(b"")
         with pytest.raises(WalError, match="empty"):
             recover_service_artifact(str(empty))
         baseless = tmp_path / "baseless.wal"
-        baseless.write_text('{"type": "seal", "index": 0}\n')
+        baseless.write_bytes(
+            encode_frame(KIND_SEAL, {"index": 0, "packets": 0, "tasks": {}})
+        )
         with pytest.raises(WalError, match="not base"):
             recover_service_artifact(str(baseless))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_json_lines_log_is_refused_by_version(self, tmp_path, version):
+        # What the JSON-lines releases wrote: sorted keys, one record a line.
+        old = tmp_path / "old.wal"
+        old.write_text(
+            json.dumps(
+                {"type": "base", "version": version, "controller": {}},
+                sort_keys=True,
+            )
+            + "\n"
+            + json.dumps({"type": "seal", "index": 0}, sort_keys=True)
+            + "\n"
+        )
+        with pytest.raises(WalError, match=f"WAL version {version} "):
+            recover_service_artifact(str(old))
+        with pytest.raises(WalError, match="before upgrading"):
+            read_wal_records(str(old))
+
+    def test_status_counts_bytes_and_splits_the_time(self, controller, tmp_path):
+        wal_path = tmp_path / "svc.wal"
+        controller.add_task(freq_task(threshold=80))
+        service = MeasurementService(controller, epoch_packets=2500, retain=8)
+        wal = ServiceWal(str(wal_path)).attach(service)
+        service.ingest(zipf_trace(num_flows=400, num_packets=5000, seed=70))
+        status = wal.status()
+        # Bytes, not characters: a single-file log is exactly what was written.
+        assert status["bytes_written"] == os.path.getsize(wal_path)
+        assert status["records_written"] == 3  # base + two seals
+        for key in ("encode_s", "write_s", "fsync_s"):
+            assert status[key] > 0.0, key
+        for surface in (service.stats(), service.health()):
+            for key in ("bytes_written", "encode_s", "write_s", "fsync_s"):
+                assert surface["wal_" + key] == status[key]
+        wal.close()
+        assert "wal_fsync_s" not in service.stats()
 
     def test_attach_requires_complete_history(self, controller, tmp_path):
         controller.add_task(freq_task())

@@ -9,10 +9,11 @@ back exactly one segment.  The attach guard and the streaming record
 reader (both PR 9 satellite bugfixes) get regression coverage here too.
 """
 
-import json
 import os
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.service import (
@@ -25,10 +26,17 @@ from repro.service import (
     service_checkpoint,
     wal_segments,
 )
+from repro.service.epoch_codec import (
+    KIND_BASE,
+    KIND_SEAL,
+    encode_frame,
+    pack_tasks,
+)
 from repro.service.wal import read_wal_records
 from repro.traffic import zipf_trace
 
 from service_tasks import freq_task, hll_task
+from wal_frames import comparable, frame_spans, truncate_to
 
 
 def _strip_timing(artifact):
@@ -159,9 +167,8 @@ class TestTornBaseFallback:
         service, segments = self._build(controller, tmp_path)
         intact = recover_service_artifact(str(tmp_path / "seg"))
         newest = segments[-1][1]
-        text = open(newest, encoding="utf-8").read().splitlines()[0]
-        with open(newest, "w", encoding="utf-8") as fh:
-            fh.write(text[: len(text) // 2])  # the roll's torn base write
+        base = frame_spans(newest)[0]
+        truncate_to(newest, base.end // 2)  # the roll's torn base write
         fallback = recover_service_artifact(str(tmp_path / "seg"))
         assert fallback["stats"]["wal_segment"] == segments[-2][0]
         # The fallback segment holds everything up to the interrupted roll:
@@ -176,7 +183,7 @@ class TestTornBaseFallback:
         service, segments = self._build(controller, tmp_path)
         empty = os.path.join(
             os.path.dirname(segments[-1][1]),
-            f"wal-{segments[-1][0] + 1:06d}.jsonl",
+            f"wal-{segments[-1][0] + 1:06d}.seg",
         )
         open(empty, "w").close()  # crash after create, before the base
         recovered = recover_service_artifact(str(tmp_path / "seg"))
@@ -184,9 +191,25 @@ class TestTornBaseFallback:
 
     def test_all_segments_baseless_raises(self, tmp_path):
         os.makedirs(tmp_path / "seg")
-        open(tmp_path / "seg" / "wal-000001.jsonl", "w").close()
+        open(tmp_path / "seg" / "wal-000001.seg", "w").close()
         with pytest.raises(WalError, match="intact base"):
             recover_service_artifact(str(tmp_path / "seg"))
+
+    def test_json_lines_segments_are_refused_by_version(
+        self, controller, tmp_path
+    ):
+        # A directory the JSON-lines release left behind: neither recovered
+        # as if it were empty nor silently written next to.
+        os.makedirs(tmp_path / "seg")
+        (tmp_path / "seg" / "wal-000003.jsonl").write_text('{"type": "base"}\n')
+        with pytest.raises(WalError, match="WAL version 2 .*before upgrading"):
+            recover_service_artifact(str(tmp_path / "seg"))
+        controller.add_task(freq_task())
+        service = MeasurementService(controller, epoch_packets=1000)
+        with pytest.raises(WalError, match="WAL version 2 "):
+            ServiceWal(str(tmp_path / "seg"), resume=True).attach(service)
+        assert service._wal is None
+        assert os.listdir(tmp_path / "seg") == ["wal-000003.jsonl"]
 
     def test_empty_directory_raises(self, tmp_path):
         os.makedirs(tmp_path / "seg")
@@ -219,7 +242,7 @@ class TestAttachGuard:
         wal = ServiceWal(str(path)).attach(service)
         service.ingest(zipf_trace(num_flows=50, num_packets=2000, seed=3))
         wal.close()
-        first_records = read_wal_records(str(path))
+        first_log = path.read_bytes()
 
         wal2 = ServiceWal(str(path), resume=True).attach(service)
         service.ingest(zipf_trace(num_flows=50, num_packets=2000, seed=4))
@@ -227,13 +250,43 @@ class TestAttachGuard:
         # Exactly one base per log: the old log moved to .prev whole.
         records = read_wal_records(str(path))
         assert sum(1 for r in records if r["type"] == "base") == 1
-        prev = read_wal_records(str(path) + ".prev")
-        assert prev == first_records
+        assert Path(str(path) + ".prev").read_bytes() == first_log
         # And the resumed log recovers on its own (the resume base embeds
         # the epochs sealed before it).
         recovered = recover_service_artifact(str(path))
         reference = service_checkpoint(service)
         assert _strip_timing(recovered) == _strip_timing(reference)
+
+    def test_single_file_attach_syncs_its_directory(
+        self, controller, tmp_path, monkeypatch
+    ):
+        # Every record is fsync'd, but the file's *name* lives in the parent
+        # directory: create and rename must be synced there too, or a power
+        # loss leaves no log behind a run that never missed an fsync.
+        from repro.service import wal as wal_module
+
+        synced = []
+        real = wal_module._fsync_dir
+
+        def spy(directory):
+            synced.append((directory, sorted(os.listdir(directory))))
+            real(directory)
+
+        monkeypatch.setattr(wal_module, "_fsync_dir", spy)
+        path = tmp_path / "svc.wal"
+        service = self._service(controller)
+        wal = ServiceWal(str(path)).attach(service)
+        assert synced == [(str(tmp_path), ["svc.wal"])]  # after the create
+        service.ingest(zipf_trace(num_flows=50, num_packets=2000, seed=3))
+        wal.close()
+
+        del synced[:]
+        wal2 = ServiceWal(str(path), resume=True).attach(service)
+        assert synced == [
+            (str(tmp_path), ["svc.wal.prev"]),  # after the rename
+            (str(tmp_path), ["svc.wal", "svc.wal.prev"]),  # after the create
+        ]
+        wal2.close()
 
     def test_segment_dir_refused_without_resume(self, controller, tmp_path):
         path = tmp_path / "seg"
@@ -266,15 +319,16 @@ class TestStreamingReader:
     """Satellite regression: the record reader must stream, not slurp."""
 
     def _write_big_wal(self, path, records=400, payload_cells=2000):
-        filler = list(range(payload_cells))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"type": "base", "version": 1}) + "\n")
+        # Cells past 16 bits, so every row is stored four bytes a cell.
+        filler = np.arange(payload_cells, dtype=np.int64) + (1 << 20)
+        with open(path, "wb") as fh:
+            fh.write(encode_frame(KIND_BASE, {"controller": {}}))
             for i in range(records):
+                tasks, cells = pack_tasks([(0, [filler], [[]])])
                 fh.write(
-                    json.dumps(
-                        {"type": "seal", "index": i, "tasks": {"0": filler}}
+                    encode_frame(
+                        KIND_SEAL, {"index": i, "tasks": tasks}, cells
                     )
-                    + "\n"
                 )
         return os.path.getsize(path)
 
@@ -297,18 +351,23 @@ class TestStreamingReader:
     def test_streaming_reader_matches_list_reader(self, tmp_path):
         path = str(tmp_path / "small.wal")
         self._write_big_wal(path, records=5, payload_cells=10)
-        assert list(iter_wal_records(path)) == read_wal_records(path)
+        streamed = comparable(iter_wal_records(path))
+        assert streamed == comparable(read_wal_records(path))
+        assert [r["type"] for r in streamed] == ["base"] + ["seal"] * 5
+        assert streamed[3]["tasks"]["0"]["rows"] == [
+            list(range(1 << 20, (1 << 20) + 10))
+        ]
 
     def test_streaming_reader_tolerates_torn_tail_only(self, tmp_path):
         path = str(tmp_path / "torn.wal")
         self._write_big_wal(path, records=3, payload_cells=4)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"type": "seal", "ind')
+        data = Path(path).read_bytes()
+        second, last = frame_spans(path)[1], frame_spans(path)[-1]
+        with open(path, "ab") as fh:
+            fh.write(data[last.start : last.end - 7])  # a frame cut short
         assert len(list(iter_wal_records(path))) == 4
-        # ... but a parse failure followed by more records is corruption.
-        lines = open(path, encoding="utf-8").read().splitlines()
-        lines[1] = lines[1][: len(lines[1]) // 2]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        # ... but a cut-short frame followed by more records is corruption.
+        cut = (second.start + second.end) // 2
+        Path(path).write_bytes(data[:cut] + data[second.end :])
         with pytest.raises(WalError, match="mid-log"):
             list(iter_wal_records(path))
