@@ -404,15 +404,26 @@ class Cmu:
 
     @staticmethod
     def _digest_key_rows(digest_key, batch, rows: np.ndarray) -> np.ndarray:
-        """Columnar ``FlowKeyDef.extract`` for the alarm rows."""
+        """Columnar ``FlowKeyDef.extract`` for the alarm rows, one row per
+        distinct key: most alarm packets repeat a flow that already reported,
+        so they are dropped here, in numpy, and the Python digest set sees
+        each flow once per batch.  The rows are grouped by a lexsort over the
+        key's 16-bit pieces (``uint16`` keys sort by radix)."""
         from repro.traffic.flows import FIELD_WIDTHS
 
-        cols = []
+        cols, pieces = [], []
         for name, bits in digest_key.parts:
             width = FIELD_WIDTHS[name]
-            col = batch.get(name)[rows] & ((1 << width) - 1)
-            cols.append(col >> (width - bits))
-        return np.stack(cols, axis=1)
+            col = (batch.get(name)[rows] & ((1 << width) - 1)) >> (width - bits)
+            cols.append(col)
+            pieces.extend(
+                (col >> shift).astype(np.uint16) for shift in range(0, bits, 16)
+            )
+        order = np.lexsort(pieces)
+        cols = [col[order] for col in cols]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = np.logical_or.reduce([col[1:] != col[:-1] for col in cols])
+        return np.stack([col[first] for col in cols], axis=1)
 
     def _sampled_batch(
         self, config: CmuTaskConfig, batch, rows: np.ndarray

@@ -64,19 +64,66 @@ def _zlib_crc_table() -> np.ndarray:
 
 _CRC32_TABLE = _zlib_crc_table()
 
+#: ``{distance: table}``, built on first use and shared by the process; each
+#: is 65,536 ``uint32`` = 256 KiB.  A ``<IH``-per-field layout uses one or two
+#: per masked field; every ladder deployment ends up with the same eight (2 MiB).
+_POSITION_TABLES: Dict[int, np.ndarray] = {}
+
+
+def _position_table(distance: int) -> np.ndarray:
+    """CRC-32 contribution of one little-endian 16-bit word followed by
+    ``distance`` more message bytes.
+
+    For a fixed message length the CRC is affine over GF(2): the CRC of the
+    all-zero message (which carries the seed) XOR one term per message word
+    that depends only on the word's value and its distance from the end.
+    ``table[w]`` is that term: the raw zero-init register after the word's
+    two bytes and ``distance`` zero bytes.
+    """
+    table = _POSITION_TABLES.get(distance)
+    if table is None:
+        # Zero-init register after one byte, then shifted through zero bytes.
+        after = [_CRC32_TABLE]
+        for _ in range(distance + 1):
+            prev = after[-1]
+            after.append((prev >> np.uint32(8)) ^ _CRC32_TABLE[prev & np.uint32(0xFF)])
+        word = np.arange(1 << 16)
+        table = after[distance + 1][word & 0xFF] ^ after[distance][word >> 8]
+        _POSITION_TABLES[distance] = table
+    return table
+
+
+def _crc32_words(n: int, template: bytes, seed: int, words) -> np.ndarray:
+    """``zlib.crc32(message, seed)`` for ``n`` messages given as ``template``
+    (the bytes every message shares, zero elsewhere) plus ``words``:
+    ``(byte offset, column of 16-bit word values)`` pairs.  One table gather
+    and one XOR per word."""
+    crc = np.full(n, zlib.crc32(template, seed), dtype=np.uint32)
+    for offset, column in words:
+        crc ^= np.take(_position_table(len(template) - offset - 2), column)
+    return crc
+
 
 def crc32_batch(data: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Vectorized ``zlib.crc32(row, seed)`` over an ``(n, L)`` uint8 matrix.
-
-    The byte loop runs over the fixed message length ``L`` (a handful of
-    bytes per hash-unit input) while each step is a table lookup vectorized
-    over the whole batch -- bit-identical to the scalar zlib call.
-    """
+    """Vectorized ``zlib.crc32(row, seed)`` over an ``(n, L)`` uint8 matrix,
+    bit-identical to the scalar zlib call, by position tables over the
+    rows' 16-bit words."""
     data = np.ascontiguousarray(data, dtype=np.uint8)
-    crc = np.full(data.shape[0], (seed ^ 0xFFFFFFFF) & 0xFFFFFFFF, dtype=np.uint32)
-    for j in range(data.shape[1]):
-        crc = (crc >> np.uint32(8)) ^ _CRC32_TABLE[(crc ^ data[:, j]) & np.uint32(0xFF)]
-    return crc ^ np.uint32(0xFFFFFFFF)
+    n, length = data.shape
+    pad = length & 1
+    if pad:
+        # A leading zero byte leaves a zero-init CRC register at zero, so it
+        # moves no word's distance from the end.
+        padded = np.zeros((n, length + 1), dtype=np.uint8)
+        padded[:, 1:] = data
+        data = padded
+    words = data.view("<u2")
+    return _crc32_words(
+        n,
+        bytes(length),
+        seed,
+        [(2 * k - pad, words[:, k]) for k in range(words.shape[1])],
+    )
 
 
 def uint64_le_bytes(values: np.ndarray, nbytes: int = 8) -> np.ndarray:
@@ -109,6 +156,12 @@ class HashFunction:
         """Row-wise :meth:`hash_bytes` over an ``(n, L)`` uint8 matrix."""
         return _fmix32_batch(crc32_batch(data, self.seed) ^ np.uint32(self.seed))
 
+    def hash_words_batch(self, template: bytes, words) -> np.ndarray:
+        """Row-wise :meth:`hash_bytes` of messages in the ``template`` +
+        ``words`` form of :func:`_crc32_words` (at least one word)."""
+        crc = _crc32_words(len(words[0][1]), template, self.seed, words)
+        return _fmix32_batch(crc ^ np.uint32(self.seed))
+
     def hash_int_batch(self, values: np.ndarray, width: int = 64) -> np.ndarray:
         """Row-wise :meth:`hash_int` over a non-negative integer array
         (``width`` at most 64 -- the widths the datapath uses)."""
@@ -137,6 +190,15 @@ class _CrcAdapter:
         return self._crc.compute(data)
 
     def hash_bytes_batch(self, data: np.ndarray) -> np.ndarray:
+        return self._crc.compute_batch(data)
+
+    def hash_words_batch(self, template: bytes, words) -> np.ndarray:
+        # A genuine CRC variant has no position tables: spell the bytes out.
+        row = np.frombuffer(template, dtype=np.uint8)
+        data = np.tile(row, (len(words[0][1]), 1))
+        for offset, column in words:
+            data[:, offset] = column & 0xFF
+            data[:, offset + 1] = column >> 8
         return self._crc.compute_batch(data)
 
 
@@ -243,9 +305,10 @@ class DynamicHashUnit:
         """
         if self._mask.is_empty:
             return 0
+        mask_bits = dict(self._mask.field_bits)
         pieces = []
         for name in self._order:
-            bits = dict(self._mask.field_bits).get(name)
+            bits = mask_bits.get(name)
             if bits is None:
                 continue
             spec = self._specs[name]
@@ -288,7 +351,7 @@ class DynamicHashUnit:
                 parts.append((values, bits, None))
         wide = [i for i, part in enumerate(parts) if part[2] is not None]
         if not wide:
-            return self._hash_fixed_layout(parts, np.arange(n), ())
+            return self._hash_fixed_layout(parts, slice(None), ())
         # The message layout varies per packet: a wide field appends its high
         # word only when non-zero.  Partition rows by their spill signature
         # (which wide fields spill); each signature class shares one fixed
@@ -303,28 +366,29 @@ class DynamicHashUnit:
             out[rows] = self._hash_fixed_layout(parts, rows, spilled)
         return out
 
-    def _hash_fixed_layout(
-        self, parts, rows: np.ndarray, spilled: Tuple[int, ...]
-    ) -> np.ndarray:
+    def _hash_fixed_layout(self, parts, rows, spilled: Tuple[int, ...]) -> np.ndarray:
         """Hash the rows whose packed message shares one layout: the ``<IH``
         chunk per field, plus a 4-byte high word after each field in
-        ``spilled`` (by position in ``parts``)."""
-        n = len(rows)
-        data = np.empty((n, 6 * len(parts) + 4 * len(spilled)), dtype=np.uint8)
-        offset = 0
+        ``spilled`` (by position in ``parts``).
+
+        The message is never materialized: each 32-bit value goes to the
+        hash function as its 16-bit words (the upper one only where the mask
+        lets it be non-zero) and the ``bits`` shorts as the template every
+        row shares.
+        """
+        template = bytearray()
+        words = []
         for i, (values, bits, high) in enumerate(parts):
-            data[:, offset : offset + 4] = (
-                values[rows].astype("<u4").view(np.uint8).reshape(n, 4)
-            )
-            data[:, offset + 4] = bits & 0xFF
-            data[:, offset + 5] = (bits >> 8) & 0xFF
-            offset += 6
+            chunks = [(values, min(bits, 32), struct.pack("<IH", 0, bits))]
             if i in spilled:
-                data[:, offset : offset + 4] = (
-                    high[rows].astype("<u4").view(np.uint8).reshape(n, 4)
-                )
-                offset += 4
-        return self._fn.hash_bytes_batch(data).astype(np.int64)
+                chunks.append((high, bits - 32, bytes(4)))
+            for column, width, chunk in chunks:
+                column = column[rows]
+                words.append((len(template), column & 0xFFFF))
+                if width > 16:
+                    words.append((len(template) + 2, column >> 16))
+                template += chunk
+        return self._fn.hash_words_batch(bytes(template), words).astype(np.int64)
 
     def __repr__(self) -> str:
         return f"DynamicHashUnit(id={self.unit_id}, mask={self._mask.describe()})"

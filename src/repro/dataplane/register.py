@@ -18,6 +18,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.telemetry import TELEMETRY as _TELEMETRY
+
 #: Tofino SALUs pre-load at most four register actions.
 MAX_REGISTER_ACTIONS = 4
 
@@ -51,21 +53,12 @@ def segmented_cumxor(x: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
 
 
 def segmented_cummax(x: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
-    """Inclusive per-segment running maximum via a Hillis-Steele doubling
-    scan: ``O(log n)`` full-array passes instead of one pass per element."""
-    n = len(x)
-    out = np.array(x, dtype=np.int64, copy=True)
-    pos = np.arange(n)
-    starts = np.nonzero(seg_start)[0]
-    first = starts[np.cumsum(seg_start) - 1]
-    d = 1
-    while d < n:
-        can = pos - d >= first
-        shifted = np.empty_like(out)
-        shifted[d:] = out[:-d]
-        out = np.where(can, np.maximum(out, shifted), out)
-        d <<= 1
-    return out
+    """Inclusive per-segment running maximum of values in ``[0, 2**32)``
+    (register words): with the segment id packed above the value, one
+    running maximum over the whole array never carries across a boundary."""
+    seg_id = np.cumsum(seg_start, dtype=np.int64)
+    packed = np.maximum.accumulate((seg_id << 32) | x)
+    return packed & 0xFFFFFFFF
 
 
 def segmented_compose_masks(
@@ -106,23 +99,34 @@ def chain_all(ok: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
     return np.repeat(np.logical_and.reduceat(ok, starts), counts)
 
 
-def _occurrence_ranks(indices: np.ndarray) -> np.ndarray:
-    """Per-element occurrence count of its value among earlier elements.
+def _group_by_bucket(idx: np.ndarray, size: int):
+    """The one grouping pass of a batch: ``(order, seg_start, starts, counts)``.
 
-    ``[7, 3, 7, 7, 3] -> [0, 0, 1, 2, 1]``: the serialization order batched
-    register execution must respect for duplicate buckets.
+    ``order`` stably sorts the rows by bucket, so each bucket's packets are
+    contiguous and in arrival order: chain ``k`` is ``order[starts[k] :
+    starts[k] + counts[k]]``, a row's occurrence rank is its offset into its
+    chain, and ``seg_start`` is the boolean mask of chain starts
+    (``[7, 3, 7, 7, 3]`` -> order ``[1, 4, 0, 2, 3]``, starts ``[0, 2]``).
+    A register of up to 65,536 cells sorts on a ``uint16`` key, which numpy
+    sorts by radix -- about ten times faster than comparing ``int64``.
     """
-    n = len(indices)
-    order = np.argsort(indices, kind="stable")
-    sorted_idx = indices[order]
-    run_start = np.ones(n, dtype=bool)
-    run_start[1:] = sorted_idx[1:] != sorted_idx[:-1]
-    start_positions = np.nonzero(run_start)[0]
-    run_id = np.cumsum(run_start) - 1
-    ranks_sorted = np.arange(n) - start_positions[run_id]
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = ranks_sorted
-    return ranks
+    key = idx.astype(np.uint16) if size <= 1 << 16 else idx
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    seg_start = np.empty(len(idx), dtype=bool)
+    seg_start[0] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=seg_start[1:])
+    starts = np.flatnonzero(seg_start)
+    counts = np.diff(starts, append=len(idx))
+    return order, seg_start, starts, counts
+
+
+def _count_fallback(reason: str, amount: int) -> None:
+    """No silent slow path: count work that left the vectorized kernels."""
+    if _TELEMETRY.enabled:
+        _TELEMETRY.registry.counter(
+            "flymon_register_fallback_total", reason=reason
+        ).inc(amount)
 
 
 @dataclass(frozen=True)
@@ -147,9 +151,10 @@ class RegisterAction:
     ``seg_start`` marking chain starts.  It returns ``(new_values, results,
     ok)`` where ``new_values[i]`` is the stored value *after* row ``i``,
     ``results`` the per-row exports, and ``ok`` a per-row validity mask
-    (``None`` = exact everywhere).  Chains with any invalid row are re-run
-    through the rank loop, so a ``chain_fn`` may use a fast closed form that
-    only holds under conditions it can check (no saturation/wrap).
+    (``None`` = exact everywhere) that is uniform over each chain
+    (:func:`chain_all`).  Invalid chains are re-run through the rank loop, so
+    a ``chain_fn`` may use a fast closed form that only holds under
+    conditions it can check (no saturation/wrap).
     """
 
     name: str
@@ -215,12 +220,10 @@ class Register:
         """Run a pre-loaded action on a whole batch; returns the results.
 
         Exactly equivalent to calling :meth:`execute` per element in order,
-        including duplicate-index read-modify-write chains: packets are
-        grouped by their *occurrence rank* within their bucket (first touch
-        of each bucket, second touch, ...).  Ranks are processed in order;
-        within one rank every bucket is distinct, so the whole rank runs as
-        one vectorized gather/compute/scatter.  The number of passes equals
-        the heaviest bucket's multiplicity in the batch, not the batch size.
+        including duplicate-index read-modify-write chains.  The batch is
+        grouped by bucket once (:func:`_group_by_bucket`); everything else --
+        whether any bucket repeats, the heaviest chain, the chain-fold layout
+        and the occurrence-rank rounds -- is read off that one permutation.
         """
         action = self._actions.get(action_name)
         if action is None:
@@ -237,23 +240,28 @@ class Register:
         p2 = np.asarray(p2, dtype=np.int64) & self.value_mask
         if action.batch_fn is None:
             # Exact fallback for custom actions loaded without a kernel.
+            _count_fallback("no_kernel", 1)
             for i in range(n):
                 results[i] = self.execute(action_name, int(idx[i]), int(p1[i]), int(p2[i]))
             return results
-        ranks = _occurrence_ranks(idx)
-        max_rank = int(ranks.max())
-        if max_rank == 0:
-            self._apply_rank(action, np.arange(n), idx, p1, p2, results)
-            return results
-        if action.chain_fn is not None and max_rank >= _CHAIN_FOLD_THRESHOLD:
-            self._execute_chained(action, idx, p1, p2, results)
-            return results
-        self._execute_ranked(action, np.arange(n), idx, p1, p2, results)
+        order, seg_start, starts, counts = _group_by_bucket(idx, self.size)
+        if len(starts) == n:
+            self._apply_rank(action, slice(None), idx, p1, p2, results)
+        elif action.chain_fn is not None and counts.max() > _CHAIN_FOLD_THRESHOLD:
+            self._execute_chained(
+                action, order, seg_start, starts, counts, idx, p1, p2, results
+            )
+        else:
+            self._execute_ranked(action, order, starts, counts, idx, p1, p2, results)
         return results
 
     def _execute_chained(
         self,
         action: RegisterAction,
+        order: np.ndarray,
+        seg_start: np.ndarray,
+        starts: np.ndarray,
+        counts: np.ndarray,
         idx: np.ndarray,
         p1: np.ndarray,
         p2: np.ndarray,
@@ -261,67 +269,59 @@ class Register:
     ) -> None:
         """Fold duplicate-bucket chains with the action's ``chain_fn``.
 
-        Rows are stably sorted by bucket so each chain is contiguous in
-        arrival order; the kernel computes every row's post-state and export
-        in a constant (or logarithmic) number of full-array passes.  Chains
-        the kernel flags invalid fall back to the exact rank loop -- chains
-        are whole buckets, so the two groups touch disjoint cells and order
-        between them is immaterial.
+        In ``order`` each chain is contiguous and in arrival order; the
+        kernel computes every row's post-state and export in a constant (or
+        logarithmic) number of full-array passes.  Chains the kernel flags
+        invalid fall back to the exact rank loop -- chains are whole buckets,
+        so the two groups touch disjoint cells and order between them is
+        immaterial.
         """
-        n = len(idx)
-        order = np.argsort(idx, kind="stable")
         sorted_idx = idx[order]
-        seg_start = np.ones(n, dtype=bool)
-        seg_start[1:] = sorted_idx[1:] != sorted_idx[:-1]
         stored = self._cells[sorted_idx].astype(np.int64)
         new_values, chain_results, ok = action.chain_fn(
             stored, p1[order], p2[order], seg_start, self.value_mask
         )
-        last = np.empty(n, dtype=bool)
-        last[:-1] = seg_start[1:]
-        last[-1] = True
-        if ok is None:
-            write = last
-            good = slice(None)
-            bad = None
-        else:
-            write = last & ok
-            good = ok
-            bad = ~ok
-        self._cells[sorted_idx[write]] = (
-            new_values[write] & self.value_mask
-        ).astype(self._cells.dtype)
-        results[order[good]] = chain_results[good] & self.value_mask
-        if bad is not None and bad.any():
-            # order[] is (bucket, arrival) sorted; within each bad bucket the
-            # arrival order is intact, which is all the rank loop needs.
-            self._execute_ranked(action, order[bad], idx, p1, p2, results)
+        last = starts + counts - 1
+        good = None if ok is None else ok[starts]
+        if good is None or good.all():
+            self._cells[sorted_idx[last]] = new_values[last] & self.value_mask
+            results[order] = chain_results & self.value_mask
+            return
+        write = last[good]
+        self._cells[sorted_idx[write]] = new_values[write] & self.value_mask
+        results[order[ok]] = chain_results[ok] & self.value_mask
+        bad = ~good
+        _count_fallback("exact_chain", int(counts[bad].sum()))
+        self._execute_ranked(
+            action, order, starts[bad], counts[bad], idx, p1, p2, results
+        )
 
     def _execute_ranked(
         self,
         action: RegisterAction,
-        rows: np.ndarray,
+        order: np.ndarray,
+        starts: np.ndarray,
+        counts: np.ndarray,
         idx: np.ndarray,
         p1: np.ndarray,
         p2: np.ndarray,
         results: np.ndarray,
     ) -> None:
-        """Exact occurrence-rank rounds restricted to ``rows`` (which must
-        preserve arrival order within each bucket)."""
-        if len(rows) == 0:
-            return
-        ranks = _occurrence_ranks(idx[rows])
-        max_rank = int(ranks.max())
-        by_rank = np.argsort(ranks, kind="stable")
-        starts = np.searchsorted(ranks[by_rank], np.arange(max_rank + 2))
-        for r in range(max_rank + 1):
-            sel = rows[by_rank[starts[r] : starts[r + 1]]]
-            self._apply_rank(action, sel, idx, p1, p2, results)
+        """Exact occurrence-rank rounds over the given chains: round ``r``
+        runs the ``r``-th packet of every chain that has one.  Within a round
+        every bucket is distinct, so it is one vectorized gather/compute/
+        scatter; the number of rounds is the heaviest chain's length."""
+        rank = 0
+        while len(starts):
+            self._apply_rank(action, order[starts + rank], idx, p1, p2, results)
+            rank += 1
+            alive = counts > rank
+            starts, counts = starts[alive], counts[alive]
 
     def _apply_rank(
         self,
         action: RegisterAction,
-        rows: np.ndarray,
+        rows,
         idx: np.ndarray,
         p1: np.ndarray,
         p2: np.ndarray,
@@ -330,7 +330,7 @@ class Register:
         buckets = idx[rows]
         stored = self._cells[buckets].astype(np.int64)
         new_values, rank_results = action.batch_fn(stored, p1[rows], p2[rows])
-        self._cells[buckets] = (new_values & self.value_mask).astype(self._cells.dtype)
+        self._cells[buckets] = new_values & self.value_mask
         results[rows] = rank_results & self.value_mask
 
     # -- control-plane access ---------------------------------------------

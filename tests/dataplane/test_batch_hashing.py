@@ -18,6 +18,20 @@ from repro.traffic.batch import PacketBatch
 
 RNG = np.random.default_rng(42)
 
+_BYTE_TABLE = np.array(
+    [zlib.crc32(bytes([b]), 0xFFFFFFFF) ^ 0xFFFFFFFF for b in range(256)],
+    dtype=np.uint32,
+)
+
+
+def _crc32_byte_loop(data, seed=0):
+    """The per-byte table walk ``crc32_batch`` used to be (shift, xor, and,
+    gather, xor per message byte): the reference for the position tables."""
+    crc = np.full(data.shape[0], (seed ^ 0xFFFFFFFF) & 0xFFFFFFFF, dtype=np.uint32)
+    for j in range(data.shape[1]):
+        crc = (crc >> np.uint32(8)) ^ _BYTE_TABLE[(crc ^ data[:, j]) & np.uint32(0xFF)]
+    return crc ^ np.uint32(0xFFFFFFFF)
+
 
 class TestCrcBatch:
     def test_crc32_batch_matches_zlib(self):
@@ -25,6 +39,22 @@ class TestCrcBatch:
         got = crc32_batch(data, seed=0x1234)
         for i in range(len(data)):
             assert int(got[i]) == zlib.crc32(bytes(data[i]), 0x1234)
+
+    @pytest.mark.parametrize("length", range(0, 41))
+    def test_crc32_batch_every_length_and_seed(self, length):
+        # Odd lengths take the padded path; every length has its own set of
+        # word distances, so its own position tables.
+        data = RNG.integers(0, 256, size=(32, length), dtype=np.uint8)
+        for seed in (0, 0xFFFFFFFF, int(RNG.integers(1, 1 << 32))):
+            got = crc32_batch(data, seed=seed)
+            assert got.dtype == np.uint32
+            np.testing.assert_array_equal(got, _crc32_byte_loop(data, seed))
+            assert got.tolist() == [zlib.crc32(bytes(row), seed) for row in data]
+
+    def test_crc32_batch_accepts_strided_input(self):
+        wide = RNG.integers(0, 256, size=(20, 16), dtype=np.uint8)
+        data = wide[:, 3:10]  # not contiguous, odd length
+        np.testing.assert_array_equal(crc32_batch(data, 9), _crc32_byte_loop(data, 9))
 
     def test_crc32_variant_batch_matches_scalar(self):
         crc = Crc32(POLY_CRC32C)
@@ -92,6 +122,27 @@ class TestDynamicHashUnitBatch:
         got = unit.compute_batch(batch)
         for i, fields in enumerate(batch.iter_fields()):
             assert int(got[i]) == unit.compute(fields)
+
+    @pytest.mark.parametrize("crc", [None, Crc32(POLY_CRC32C)])
+    @pytest.mark.parametrize("bits", [48, 40, 33, 32, 20, 8])
+    def test_wide_field_spill_matches_scalar(self, bits, crc):
+        # A >32-bit field appends its high word only when non-zero, so one
+        # batch mixes message layouts; masks of <= 16 bits drop the upper
+        # 16-bit word of a value from the hash input altogether.
+        fields = (FieldSpec("mac", 48), FieldSpec("stamp", 64), FieldSpec("src_port", 16))
+        unit = DynamicHashUnit(0, fields, seed=99, crc=crc)
+        unit.set_mask(HashMask.of({"mac": bits, "stamp": 64, "src_port": 9}))
+        n = 120
+        mac = RNG.integers(0, 1 << 48, size=n)
+        mac[::3] &= 0xFFFF  # these never spill
+        stamp = RNG.integers(0, 1 << 63, size=n)
+        stamp[::2] >>= 40
+        batch = PacketBatch(
+            {"mac": mac, "stamp": stamp, "src_port": RNG.integers(0, 1 << 16, size=n)}
+        )
+        got = unit.compute_batch(batch)
+        for i, packet in enumerate(batch.iter_fields()):
+            assert int(got[i]) == unit.compute(packet)
 
     def test_unconfigured_unit_yields_zeros(self):
         unit = _unit()

@@ -3,7 +3,10 @@ exactly like per-packet execution, including the chain-folded fast paths."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.core.operations import (
     EXTENDED_OPERATION_SET,
     OP_COND_ADD,
@@ -12,7 +15,7 @@ from repro.core.operations import (
 from repro.dataplane.register import (
     Register,
     RegisterAction,
-    _occurrence_ranks,
+    _group_by_bucket,
     chain_all,
     segmented_compose_masks,
     segmented_cummax,
@@ -21,19 +24,36 @@ from repro.dataplane.register import (
 )
 
 
-def _pair(size=256, bit_width=16, init=None):
+def _pair(size=256, bit_width=16):
     a, b = Register(size, bit_width), Register(size, bit_width)
     load_reduced_operation_set(a)
     load_reduced_operation_set(b)
-    if init is not None:
-        for i, value in enumerate(init):
-            a.write(i, int(value))
-            b.write(i, int(value))
     return a, b
 
 
+def _doubling_cummax(x, seg_start):
+    """The Hillis-Steele doubling scan ``segmented_cummax`` used to be (one
+    full-array pass per power of two): the reference for the packed form."""
+    n = len(x)
+    out = np.array(x, dtype=np.int64, copy=True)
+    pos = np.arange(n)
+    starts = np.nonzero(seg_start)[0]
+    first = starts[np.cumsum(seg_start) - 1]
+    d = 1
+    while d < n:
+        can = pos - d >= first
+        shifted = np.empty_like(out)
+        shifted[d:] = out[:-d]
+        out = np.where(can, np.maximum(out, shifted), out)
+        d <<= 1
+    return out
+
+
 def _assert_equivalent(op, idx, p1, p2, size=256, bit_width=16, init=None):
-    scalar, batched = _pair(size, bit_width, init)
+    scalar, batched = _pair(size, bit_width)
+    if init is not None:
+        scalar.load_cells(init)
+        batched.load_cells(init)
     want = np.array(
         [
             scalar.execute(op, int(idx[i]), int(p1[i]), int(p2[i]))
@@ -49,7 +69,14 @@ def _assert_equivalent(op, idx, p1, p2, size=256, bit_width=16, init=None):
 
 class TestOccurrenceRanks:
     def test_ranks_count_prior_occurrences(self):
-        ranks = _occurrence_ranks(np.array([7, 3, 7, 7, 3]))
+        # A row's rank is its offset into its bucket's chain of the one
+        # grouping permutation.
+        idx = np.array([7, 3, 7, 7, 3])
+        order, seg_start, starts, counts = _group_by_bucket(idx, 8)
+        np.testing.assert_array_equal(order, [1, 4, 0, 2, 3])
+        np.testing.assert_array_equal(seg_start, [True, False, True, False, False])
+        ranks = np.empty(len(idx), dtype=np.int64)
+        ranks[order] = np.arange(len(idx)) - np.repeat(starts, counts)
         np.testing.assert_array_equal(ranks, [0, 0, 1, 2, 1])
 
 
@@ -66,6 +93,16 @@ class TestSegmentedScans:
         np.testing.assert_array_equal(
             segmented_cumxor(x, seg), [3, 2, 6, 1, 4, 9, 11]
         )
+
+    def test_cummax_matches_doubling_scan_reference(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 64, 1000):
+            x = rng.integers(0, 1 << 32, size=n)
+            seg = rng.random(n) < 0.2
+            seg[0] = True
+            np.testing.assert_array_equal(
+                segmented_cummax(x, seg), _doubling_cummax(x, seg)
+            )
 
     def test_compose_masks_folds_and_or_chains(self):
         # segment 1: OR 0b01 then AND 0b10 -> x&0b10; segment 2: OR 0b100
@@ -148,6 +185,34 @@ class TestExecuteBatchEquivalence:
         np.testing.assert_array_equal(want, got)
         np.testing.assert_array_equal(a.read_range(0, 64), b.read_range(0, 64))
 
+    def test_fallbacks_are_counted_when_telemetry_is_on(self):
+        # One batch, two chains: bucket 0 adds 1 forty times under an
+        # unreachable bound (folds in closed form); bucket 1 reaches p2 = 10
+        # mid-chain, so its 30 rows re-run through the exact rank rounds.
+        idx = np.array([0, 1] * 30 + [0] * 10)
+        p1 = np.ones(len(idx), dtype=np.int64)
+        p2 = np.where(idx == 0, 0xFFFF, 10)
+        registry = telemetry.TELEMETRY.registry
+        _assert_equivalent(OP_COND_ADD, idx, p1, p2)
+        assert registry.get("flymon_register_fallback_total", reason="exact_chain") is None
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            _assert_equivalent(OP_COND_ADD, idx, p1, p2)
+            assert registry.value(
+                "flymon_register_fallback_total", reason="exact_chain"
+            ) == 30
+            register = Register(64, 16)
+            register.load_action(RegisterAction("first", lambda s, a, b: (s or a, s)))
+            for _ in range(2):
+                register.execute_batch("first", idx, p1, p2)
+            assert registry.value(
+                "flymon_register_fallback_total", reason="no_kernel"
+            ) == 2
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+
     def test_empty_batch_is_a_noop(self):
         register = Register(64, 16)
         load_reduced_operation_set(register)
@@ -162,3 +227,36 @@ class TestExecuteBatchEquivalence:
             register.execute_batch(
                 "nope", np.array([0]), np.array([1]), np.array([0])
             )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    op=st.sampled_from(EXTENDED_OPERATION_SET),
+    size=st.sampled_from([2, 4096, 1 << 16, 1 << 17]),  # 2**17: key outgrows uint16
+    bit_width=st.sampled_from([1, 8, 16, 32]),
+    n=st.integers(1, 400),
+    hot=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_execute_batch_matches_execute_loop(op, size, bit_width, n, hot, seed):
+    """Duplicate-heavy batches over every op, register size and bucket
+    width.  Even buckets never reach their bound (their Cond-ADD chains fold
+    unless an increment wraps the bucket); odd buckets carry a bound a few
+    increments away, so their chains saturate mid-chain and re-run exactly
+    -- both kinds in one batch."""
+    rng = np.random.default_rng(seed)
+    mask = (1 << bit_width) - 1
+    hot_buckets = rng.integers(0, size, size=hot)
+    idx = np.where(
+        rng.random(n) < 0.8,
+        hot_buckets[rng.integers(0, hot, size=n)],
+        rng.integers(0, size, size=n),
+    )
+    p1 = np.where(
+        rng.random(n) < 0.85, rng.integers(1, 4, size=n), rng.integers(0, mask + 1, size=n)
+    )
+    p2 = np.where(idx % 2 == 0, mask, rng.integers(0, min(mask, 12) + 1, size=n))
+    init = rng.integers(0, min(mask, 6) + 1, size=size)
+    # Indices beyond the register wrap modulo its size.
+    idx = idx + size * rng.integers(0, 3, size=n)
+    _assert_equivalent(op, idx, p1, p2, size=size, bit_width=bit_width, init=init)

@@ -22,7 +22,7 @@ import repro.core.task as task_mod
 from repro.core.controller import FlyMonController
 from repro.core.task import AttributeSpec, MeasurementTask, TaskFilter
 from repro.traffic import Trace
-from repro.traffic.flows import KEY_SRC_IP
+from repro.traffic.flows import KEY_5TUPLE, KEY_SRC_IP
 from repro.traffic.packet import Packet
 
 
@@ -166,3 +166,54 @@ def test_single_hot_flow_duplicate_collisions():
 
     _assert_identical(scalar, batched, scalar_handles, batched_handles)
     assert batched_handles[0].algorithm.query((hot,)) == 2000
+
+
+@pytest.mark.parametrize("key", [KEY_SRC_IP, KEY_5TUPLE], ids=["1-part", "5-part"])
+def test_alarm_digest_sets_match_when_alarm_rows_repeat_flows(key):
+    """Five heavy flows send most of the packets and cross the threshold
+    early, so nearly every alarm row repeats a flow that already reported:
+    the batched path drops those repeats in numpy, and the digest *sets*
+    must still equal the scalar path's, tuple for tuple."""
+    rng = np.random.default_rng(15)
+    task = MeasurementTask(
+        key=key,
+        attribute=AttributeSpec.frequency(),
+        memory=512,
+        depth=3,
+        algorithm="cms",
+        threshold=20,
+    )
+    flows = [
+        dict(
+            src_ip=int(rng.integers(0, 1 << 32)),
+            dst_ip=int(rng.integers(0, 1 << 32)),
+            src_port=int(rng.integers(0, 1 << 16)),
+            dst_port=int(rng.integers(0, 1 << 16)),
+            protocol=int(rng.choice([6, 17])),
+        )
+        for _ in range(60)
+    ]
+    # Two keys that differ only above bit 16 of one part and only in the last
+    # part: the dedupe must keep both.
+    flows.append(dict(flows[0], src_ip=flows[0]["src_ip"] ^ (1 << 20)))
+    flows.append(dict(flows[1], protocol=flows[1]["protocol"] ^ 1))
+    picks = np.where(
+        rng.random(3000) < 0.8,
+        rng.choice([0, 1, 2, 60, 61], size=3000),
+        rng.integers(0, len(flows), size=3000),
+    )
+    trace = Trace.from_packets(
+        [Packet(timestamp=i, **flows[f]) for i, f in enumerate(picks)]
+    )
+
+    scalar, scalar_handles = _deploy([task], "tcam")
+    batched, batched_handles = _deploy([task], "tcam")
+    scalar.process_trace(trace, batch_size=None)
+    batched.process_trace(trace, batch_size=700)
+
+    _assert_identical(scalar, batched, scalar_handles, batched_handles)
+    reported = set().union(
+        *(row.cmu.peek_digests(row.task_id) for row in batched_handles[0].algorithm.rows)
+    )
+    heavy = {key.extract(flows[f]) for f in (0, 1, 2, 60, 61)}
+    assert heavy <= reported

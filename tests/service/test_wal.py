@@ -211,12 +211,14 @@ class TestInProcessParity:
 SERVE_ARGS = [
     "serve",
     "--generator", "zipf",
-    "--packets", "120000",
+    # 120 epochs, all retained: the kill has the whole run (~0.8 s) to
+    # land in, not the ~0.2 s that 40 epochs last at 5 ms each.
+    "--packets", "360000",
     "--flows", "2000",
     "--seed", "77",
     "--epoch-size", "3000",
     "--chunk", "3000",
-    "--retain", "64",
+    "--retain", "128",
     "--tasks", "hh,card",
     "--threshold", "80",
     "--watch-fill", "0.0",
