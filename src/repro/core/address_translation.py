@@ -45,10 +45,6 @@ class ShiftTranslation:
         address &= self.register_size - 1
         return self.mem.base + (address >> self.shift)
 
-    def translate_batch(self, addresses):
-        """Columnar :meth:`translate` over an int64 address array."""
-        return self.mem.base + ((addresses & (self.register_size - 1)) >> self.shift)
-
     def table_rules(self) -> int:
         """Runtime rules: one shift rule + one base-add rule."""
         return 2
@@ -73,10 +69,6 @@ class TcamTranslation:
     def translate(self, address: int) -> int:
         address &= self.register_size - 1
         return self.mem.base + (address % self.mem.length)
-
-    def translate_batch(self, addresses):
-        """Columnar :meth:`translate` over an int64 address array."""
-        return self.mem.base + ((addresses & (self.register_size - 1)) % self.mem.length)
 
     def tcam_entries(self) -> int:
         """Physical TCAM entries this task's translation occupies.

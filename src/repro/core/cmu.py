@@ -20,7 +20,8 @@ accounting reflects what a hardware deployment would install.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence
+from itertools import groupby
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,19 +90,57 @@ class TaskConflictError(RuntimeError):
 
 @dataclass(frozen=True)
 class CmuTaskPlan:
-    """A task's configuration flattened for batched execution.
-
-    Built once per install/update/remove (never per packet or per batch):
-    everything :meth:`Cmu.process_batch` needs -- the resolved address
-    translation, the sampling threshold in hash units, and whether the alarm
-    path is armed -- so the batch loop is pure numpy kernels plus dictionary-
-    free attribute reads.
-    """
+    """One task's slot in its CMU's compiled plan."""
 
     config: CmuTaskConfig
-    translation: object
-    sample_threshold: Optional[float]  # None = always run; else hash < threshold
+    slot: int
     alarm_armed: bool
+
+
+@dataclass(frozen=True)
+class CmuPlan:
+    """All of a CMU's tasks compiled for :meth:`Cmu.process_batch`, so a
+    batch costs the same whatever the number of resident tasks.
+
+    Tasks take *slots* ordered by (operation, key/parameter selectors,
+    install order): sorted by slot, every task is one slice of the batch in
+    arrival order, every group of tasks deriving key and parameters the same
+    way (``runs``) one slice, and every operation (``ops``) one slice.
+    """
+
+    #: The table's compiled rules this was derived from: stale once the
+    #: table holds another object.
+    classifier: object
+    tasks: Dict[int, CmuTaskPlan]  #: by task id, install order
+    slots: Tuple[CmuTaskPlan, ...]
+    sampled: Tuple[CmuTaskPlan, ...]  #: slots with ``sample_prob < 1``
+    armed: Tuple[CmuTaskPlan, ...]  #: slots that report alarm digests
+    runs: Tuple[tuple, ...]  #: (first slot, end slot, config with the selectors)
+    ops: Tuple[tuple, ...]  #: (operation, first slot, end slot)
+    #: ``slot_of_task[task_id - id_base]``; ``len(slots)`` means no task, and
+    #: is where ``id_base`` itself -- the classify default -- lands.
+    id_base: int
+    slot_of_task: np.ndarray
+    #: The slot every packet takes when the table's top rule is a wildcard.
+    whole_slot: Optional[int]
+    #: One column per slot, rows ``base, shift, mask, alarm_at``: the bucket
+    #: is ``base + ((address >> shift) & mask)``; a slot reports results that
+    #: reach ``alarm_at`` (unarmed: a value none reaches).
+    per_slot: np.ndarray
+
+
+def _joined(pieces: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-slice pieces as one array (no copy when there is one piece)."""
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def _spans(labels: Sequence) -> List[tuple]:
+    """``(label, start, end)`` of each run of equal consecutive labels."""
+    spans = []
+    for label, group in groupby(range(len(labels)), key=labels.__getitem__):
+        members = list(group)
+        spans.append((label, members[0], members[-1] + 1))
+    return spans
 
 
 class Cmu:
@@ -122,7 +161,7 @@ class Cmu:
             f"cmug{group_id}/cmu{index}/select_task", FILTER_FIELDS
         )
         self._configs: Dict[int, CmuTaskConfig] = {}
-        self._plans: Dict[int, CmuTaskPlan] = {}
+        self._plan: Optional[CmuPlan] = None
         self._entries: Dict[int, TableEntry] = {}
         #: Preparation-stage TCAM entries per task (address translation +
         #: parameter preprocessing) -- the Fig. 11a accounting.
@@ -156,8 +195,8 @@ class Cmu:
         return self._configs[task_id]
 
     def task_plans(self) -> Dict[int, CmuTaskPlan]:
-        """The compiled per-task plans, in install order (read-only copy)."""
-        return dict(self._plans)
+        """Each task's slot of the compiled plan, in install order (a copy)."""
+        return dict(self._current_plan().tasks)
 
     def has_conflict(self, task_filter: TaskFilter) -> bool:
         """Whether the filter intersects any task already on this CMU
@@ -188,7 +227,6 @@ class Cmu:
         self.task_table.insert(entry)
         self._entries[config.task_id] = entry
         self._configs[config.task_id] = config
-        self._plans[config.task_id] = self._compile_plan(config)
         prep = config.p1_processor.tcam_entries()
         if config.strategy == "tcam":
             prep += translation.tcam_entries()
@@ -223,28 +261,85 @@ class Cmu:
         self.task_table.insert(new_entry)
         self.task_table.remove(old_entry)
         self._entries[task_id] = new_entry
-        new_config = replace(config, filter=new_filter)
-        self._configs[task_id] = new_config
-        self._plans[task_id] = self._compile_plan(new_config)
+        self._configs[task_id] = replace(config, filter=new_filter)
 
     def remove_task(self, task_id: int) -> None:
         entry = self._entries.pop(task_id, None)
         if entry is not None:
             self.task_table.remove(entry)
         self._configs.pop(task_id, None)
-        self._plans.pop(task_id, None)
         self._prep_tcam.pop(task_id, None)
 
-    def _compile_plan(self, config: CmuTaskConfig) -> CmuTaskPlan:
-        return CmuTaskPlan(
-            config=config,
-            translation=config.translation(self.register_size),
-            sample_threshold=(
-                config.sample_prob * 2.0**32 if config.sample_prob < 1.0 else None
+    def _current_plan(self) -> CmuPlan:
+        """The compiled plan, rebuilt when the task table's rules changed.
+
+        Every install, filter update and removal goes through the table, and
+        a table mutation only drops its compiled classifier, so mutations
+        compile nothing: the first batch (or ``task_plans()`` reader)
+        afterwards does.
+        """
+        classifier = self.task_table.classifier()
+        plan = self._plan
+        if plan is None or plan.classifier is not classifier:
+            plan = self._plan = self._compile_plan(classifier)
+        return plan
+
+    def _compile_plan(self, classifier) -> CmuPlan:
+        ranks: Dict[tuple, int] = {}
+
+        def slot_key(cfg: CmuTaskConfig) -> tuple:
+            selectors = (cfg.op, cfg.key_selector, cfg.p1, cfg.p2, cfg.p1_processor)
+            return cfg.op, ranks.setdefault(selectors, len(ranks))
+
+        ordered = sorted(self._configs.values(), key=slot_key)
+        slots = tuple(
+            CmuTaskPlan(
+                cfg, slot, cfg.alarm_threshold is not None and cfg.digest_key is not None
+            )
+            for slot, cfg in enumerate(ordered)
+        )
+        by_task = {tp.config.task_id: tp for tp in slots}
+        # Packets reach a slot only through the installed rules: rule -> task
+        # id -> slot, ids offset so that the lowest lands on index 1.  The
+        # last rule is the default action, which answers unmatched packets.
+        table = self.task_table
+        rules = [(entry.action, dict(entry.args).get("task_id")) for entry in table.entries]
+        rules.append((table.default_action, table.default_args.get("task_id")))
+        ids = [task_id for _, task_id in rules if task_id is not None]
+        id_base = min(ids, default=0) - 1
+        slot_of_task = np.full(
+            max(ids, default=0) - id_base + 1, len(slots), np.min_scalar_type(len(slots))
+        )
+        for action, task_id in rules:
+            if action == "set_task" and task_id in by_task:
+                slot_of_task[task_id - id_base] = by_task[task_id].slot
+        top_action, top_task = rules[0]
+        whole = classifier.floor == 0 and top_action == "set_task" and top_task in by_task
+        per_slot = [
+            (
+                tp.config.mem.base,
+                # Partitions are aligned powers of two, so both strategies
+                # are a shift (0 for TCAM's modulo) and a mask.
+                getattr(tp.config.translation(self.register_size), "shift", 0),
+                tp.config.mem.length - 1,
+                tp.config.alarm_threshold if tp.alarm_armed else np.iinfo(np.int64).max,
+            )
+            for tp in slots
+        ]
+        return CmuPlan(
+            classifier=classifier,
+            tasks={task_id: by_task[task_id] for task_id in self._configs},
+            slots=slots,
+            sampled=tuple(tp for tp in slots if tp.config.sample_prob < 1.0),
+            armed=tuple(tp for tp in slots if tp.alarm_armed),
+            runs=tuple(
+                (lo, hi, ordered[lo]) for _, lo, hi in _spans([slot_key(c) for c in ordered])
             ),
-            alarm_armed=(
-                config.alarm_threshold is not None and config.digest_key is not None
-            ),
+            ops=tuple(_spans([cfg.op for cfg in ordered])),
+            id_base=id_base,
+            slot_of_task=slot_of_task,
+            whole_slot=by_task[top_task].slot if whole else None,
+            per_slot=np.array(per_slot, dtype=np.int64).reshape(-1, 4).T,
         )
 
     def prep_tcam_entries(self) -> int:
@@ -345,55 +440,97 @@ class Cmu:
         CMU -- bit-identical to calling :meth:`process` per packet in order.
 
         Equivalence rests on three structural facts: the task table selects
-        exactly one task per packet (so per-task row sets partition the
+        exactly one task per packet (so per-slot row sets partition the
         batch), co-located tasks occupy disjoint memory partitions (the
-        allocator's invariant, so per-task execution order cannot interact),
-        and within one task :meth:`Register.execute_batch` serializes
-        duplicate buckets by occurrence rank.  ``compressed`` holds one int64
-        array per hash unit, full batch length.
+        allocator's invariant, so one :meth:`Register.execute_batch` per
+        operation can carry every tenant: a bucket only ever sees its own
+        task's rows), and within a bucket ``execute_batch`` serializes
+        duplicates by occurrence rank.  ``compressed`` holds one int64 array
+        per hash unit, full batch length.
         """
-        if not self._plans:
-            return
         n = len(batch)
-        if n == 0:
+        if not self._configs or n == 0:
             return
-        task_ids = self.task_table.classify_batch(batch, "task_id", n)
-        total_rows = 0
-        for task_id, plan in self._plans.items():
-            rows = np.nonzero(task_ids == task_id)[0]
-            if rows.size == 0:
+        plan = self._current_plan()
+        # Rows grouped by slot, each slot's rows in arrival order.
+        in_order = plan.whole_slot is not None
+        if in_order:
+            rows = np.arange(n)
+            counts = np.zeros(len(plan.slots), dtype=np.int64)
+            counts[plan.whole_slot] = n
+        else:
+            task_ids = self.task_table.classify_batch(batch, "task_id", n, plan.id_base)
+            slots = plan.slot_of_task[task_ids - plan.id_base]
+            counts = np.bincount(slots, minlength=len(plan.slots) + 1)[:-1]
+            rows = np.argsort(slots, kind="stable")[: counts.sum()]
+        bounds = [0, *np.cumsum(counts).tolist()]
+        # Sampled-out packets are dropped, not handed to a lower-priority task.
+        if plan.sampled:
+            keep = np.ones(len(rows), dtype=bool)
+            for tp in plan.sampled:
+                lo, hi = bounds[tp.slot], bounds[tp.slot + 1]
+                keep[lo:hi] = self._sampled_batch(tp.config, batch, rows[lo:hi])
+                counts[tp.slot] = np.count_nonzero(keep[lo:hi])
+            rows = rows[keep]
+            bounds = [0, *np.cumsum(counts).tolist()]
+            in_order = False
+        total_rows = len(rows)
+        if total_rows == 0:
+            return
+        comp = compressed if in_order else [c[rows] for c in compressed]
+        # Initialization: key + raw parameters, then p1 preprocessing, once
+        # per run of slots that derive them the same way.
+        parts = []
+        for first, end, config in plan.runs:
+            lo, hi = bounds[first], bounds[end]
+            if hi == lo:
                 continue
-            config = plan.config
-            if plan.sample_threshold is not None:
-                rows = rows[self._sampled_batch(config, batch, rows)]
-                if rows.size == 0:
-                    continue
-            total_rows += rows.size
-            comp_rows = [c[rows] for c in compressed]
-            # Initialization: key + raw parameters.
-            address = config.key_selector.compute_batch(comp_rows)
-            p1 = config.p1.value_batch(batch, comp_rows, rows)
-            p2 = config.p2.value_batch(batch, comp_rows, rows)
-            # Preparation: address translation + parameter preprocessing.
-            index = plan.translation.translate_batch(address)
-            p1 = config.p1_processor.apply_batch(p1, batch, rows)
-            if self.journal is not None and self.journal.wants(
-                self.group_id, self.index, task_id
-            ):
-                self.journal.record(
-                    self.group_id, self.index, task_id, rows, index, p1, p2
+            run_rows, run_comp = rows[lo:hi], [c[lo:hi] for c in comp]
+            raw_p1 = config.p1.value_batch(batch, run_comp, run_rows)
+            parts.append(
+                (
+                    config.key_selector.compute_batch(run_comp),
+                    config.p1_processor.apply_batch(raw_p1, batch, run_rows),
+                    config.p2.value_batch(batch, run_comp, run_rows),
                 )
-            # Operation: stateful update; export result and processed p1.
-            results = self.register.execute_batch(config.op, index, p1, p2)
-            batch.ensure(result_field(self.group_id, self.index))[rows] = results
-            batch.ensure(param_field(self.group_id, self.index))[rows] = p1
-            if plan.alarm_armed:
-                hits = rows[results >= config.alarm_threshold]
-                if hits.size:
-                    digests = self._digests.setdefault(task_id, set())
-                    key_rows = self._digest_key_rows(config.digest_key, batch, hits)
-                    digests.update(map(tuple, key_rows.tolist()))
-        if total_rows and _TELEMETRY.enabled:
+            )
+        address, p1, p2 = map(_joined, zip(*parts))
+        # Preparation: address translation for every slot in one pass.
+        base, shift, mask, alarm_at = np.repeat(plan.per_slot, counts, axis=1)
+        index = base + ((address >> shift) & mask)
+        if self.journal is not None:
+            for tp in plan.slots:
+                lo, hi = bounds[tp.slot], bounds[tp.slot + 1]
+                key = (self.group_id, self.index, tp.config.task_id)
+                if hi > lo and self.journal.wants(*key):
+                    self.journal.record(
+                        *key, rows[lo:hi], index[lo:hi], p1[lo:hi], p2[lo:hi]
+                    )
+        # Operation: one stateful update per operation present; export
+        # results and processed p1.
+        results = _joined(
+            [
+                self.register.execute_batch(op, index[lo:hi], p1[lo:hi], p2[lo:hi])
+                for op, lo, hi in ((op, bounds[a], bounds[b]) for op, a, b in plan.ops)
+                if hi > lo
+            ]
+        )
+        where = slice(None) if in_order else rows
+        batch.ensure(result_field(self.group_id, self.index))[where] = results
+        batch.ensure(param_field(self.group_id, self.index))[where] = p1
+        # Alarm digests: one threshold pass for every armed slot, then the
+        # (rare) hits split by slot.
+        alarms = np.flatnonzero(results >= alarm_at) if plan.armed else ()
+        for tp in plan.armed if len(alarms) else ():
+            lo, hi = np.searchsorted(alarms, bounds[tp.slot : tp.slot + 2])
+            if hi > lo:
+                key_rows = self._digest_key_rows(
+                    tp.config.digest_key, batch, rows[alarms[lo:hi]]
+                )
+                self._digests.setdefault(tp.config.task_id, set()).update(
+                    map(tuple, key_rows.tolist())
+                )
+        if _TELEMETRY.enabled:
             if self._access_counter is None:
                 self._access_counter = _TELEMETRY.registry.counter(
                     "flymon_register_accesses_total",

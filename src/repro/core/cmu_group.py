@@ -100,6 +100,8 @@ class CmuGroup:
                     "flymon_group_packets_total", group=str(self.group_id)
                 )
             self._packet_counter.inc(len(batch))
+        if not any(cmu.task_ids for cmu in self.cmus):
+            return  # nothing to hash for: no CMU of the group hosts a task
         compressed = self.compress_batch(batch)
         for cmu in self.cmus:
             cmu.process_batch(batch, compressed)

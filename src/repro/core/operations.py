@@ -106,49 +106,49 @@ def _xor_batch(stored: np.ndarray, p1: np.ndarray, p2: np.ndarray):
 #
 # Whole duplicate-bucket chains folded in closed form (see
 # RegisterAction.chain_fn): rows arrive sorted by bucket in arrival order,
-# ``stored`` holds each bucket's pre-chain value, ``seg_start`` marks chain
-# starts.  Each returns (per-row post-state, per-row exports, validity).
+# ``stored`` holds each bucket's pre-chain value, ``chains`` is the layout the
+# grouping pass found.  Each returns (per-row post-state, per-row exports, validity).
 
 
-def _cond_add_chain(stored, p1, p2, seg_start, value_mask):
+def _cond_add_chain(stored, p1, p2, chains, value_mask):
     """Running sums, valid only while every step's condition held and no
     intermediate exceeded the bucket width (else saturation/wrap makes the
     fold non-linear and the chain is re-run exactly)."""
-    post = stored + segmented_cumsum(p1, seg_start)
+    post = stored + segmented_cumsum(p1, chains)
     prev = post - p1
-    ok = chain_all((prev < p2) & (post <= value_mask), seg_start)
+    ok = chain_all((prev < p2) & (post <= value_mask), chains)
     return post, post, ok
 
 
-def _max_chain(stored, p1, p2, seg_start, value_mask):
+def _max_chain(stored, p1, p2, chains, value_mask):
     """Running maxima; always exact.  The export is the pre-update word on
     update (the previous maximum), else 0 -- exactly the scalar action."""
-    cm = segmented_cummax(p1, seg_start)
+    cm = segmented_cummax(p1, chains)
     prev = np.empty_like(cm)
     prev[1:] = cm[:-1]
-    prev[seg_start] = stored[seg_start]
+    prev[chains.starts] = stored[chains.starts]
     prev = np.maximum(prev, stored)
     updated = prev < p1
     return np.maximum(prev, p1), np.where(updated, prev, 0), None
 
 
-def _and_or_chain(stored, p1, p2, seg_start, value_mask):
+def _and_or_chain(stored, p1, p2, chains, value_mask):
     """AND/OR chains composed as (and-mask, or-mask) pairs; always exact."""
     A = np.where(p2 == 0, p1, value_mask)
     B = np.where(p2 == 0, 0, p1)
-    A, B = segmented_compose_masks(A, B, seg_start)
+    A, B = segmented_compose_masks(A, B, chains)
     pre_a = np.empty_like(A)
     pre_b = np.empty_like(B)
     pre_a[1:] = A[:-1]
     pre_b[1:] = B[:-1]
-    pre_a[seg_start] = value_mask
-    pre_b[seg_start] = 0
+    pre_a[chains.starts] = value_mask
+    pre_b[chains.starts] = 0
     return (stored & A) | B, (stored & pre_a) | pre_b, None
 
 
-def _xor_chain(stored, p1, p2, seg_start, value_mask):
+def _xor_chain(stored, p1, p2, chains, value_mask):
     """Running parity; always exact (exports the pre-update word)."""
-    inc = segmented_cumxor(p1, seg_start)
+    inc = segmented_cumxor(p1, chains)
     new_values = stored ^ inc
     return new_values, new_values ^ p1, None
 

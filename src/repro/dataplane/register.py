@@ -14,7 +14,7 @@ The hardware constraints FlyMon designs around are modeled explicitly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -29,55 +29,56 @@ MAX_REGISTER_ACTIONS = 4
 _CHAIN_FOLD_THRESHOLD = 4
 
 
-def segmented_cumsum(x: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
-    """Inclusive per-segment prefix sum over contiguous segments.
+class Chains(NamedTuple):
+    """Layout of a batch sorted by bucket, as :func:`_group_by_bucket` found
+    it: what every fold kernel needs, derived once per batch."""
 
-    ``seg_start`` is a boolean mask marking the first element of each
-    segment; ``seg_start[0]`` must be True.
-    """
+    starts: np.ndarray  #: row offset of each chain
+    counts: np.ndarray  #: length of each chain
+    seg_id: np.ndarray  #: chain number of each row
+
+
+def segmented_cumsum(x: np.ndarray, chains: Chains) -> np.ndarray:
+    """Inclusive prefix sum within each chain."""
     c = np.cumsum(x)
-    starts = np.nonzero(seg_start)[0]
-    seg_id = np.cumsum(seg_start) - 1
-    base = np.where(starts > 0, c[starts - 1], 0)
-    return c - base[seg_id]
+    base = np.where(chains.starts > 0, c[chains.starts - 1], 0)
+    return c - base[chains.seg_id]
 
 
-def segmented_cumxor(x: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
-    """Inclusive per-segment prefix XOR (XOR is its own inverse, so the
-    cumsum subtraction trick applies verbatim)."""
+def segmented_cumxor(x: np.ndarray, chains: Chains) -> np.ndarray:
+    """Inclusive prefix XOR within each chain (XOR is its own inverse, so
+    the cumsum subtraction trick applies verbatim)."""
     c = np.bitwise_xor.accumulate(x)
-    starts = np.nonzero(seg_start)[0]
-    seg_id = np.cumsum(seg_start) - 1
-    base = np.where(starts > 0, c[starts - 1], 0)
-    return c ^ base[seg_id]
+    base = np.where(chains.starts > 0, c[chains.starts - 1], 0)
+    return c ^ base[chains.seg_id]
 
 
-def segmented_cummax(x: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
-    """Inclusive per-segment running maximum of values in ``[0, 2**32)``
-    (register words): with the segment id packed above the value, one
-    running maximum over the whole array never carries across a boundary."""
-    seg_id = np.cumsum(seg_start, dtype=np.int64)
-    packed = np.maximum.accumulate((seg_id << 32) | x)
+def segmented_cummax(x: np.ndarray, chains: Chains) -> np.ndarray:
+    """Inclusive running maximum within each chain, of values in
+    ``[0, 2**32)`` (register words): with the chain number packed above the
+    value, one running maximum over the whole array never carries across a
+    boundary."""
+    packed = np.maximum.accumulate((chains.seg_id << 32) | x)
     return packed & 0xFFFFFFFF
 
 
 def segmented_compose_masks(
-    A: np.ndarray, B: np.ndarray, seg_start: np.ndarray
+    A: np.ndarray, B: np.ndarray, chains: Chains
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Inclusive per-segment prefix composition of ``x -> (x & A) | B``.
+    """Inclusive prefix composition of ``x -> (x & A) | B`` within each chain.
 
     Mask pairs are closed under composition (``later . earlier`` is
     ``(Ae & Al, (Be & Al) | Bl)``), so a doubling scan folds an arbitrary
-    AND/OR chain in ``O(log n)`` passes.
+    AND/OR chain in ``O(log longest chain)`` passes.
     """
     n = len(A)
     A = np.array(A, dtype=np.int64, copy=True)
     B = np.array(B, dtype=np.int64, copy=True)
     pos = np.arange(n)
-    starts = np.nonzero(seg_start)[0]
-    first = starts[np.cumsum(seg_start) - 1]
+    first = chains.starts[chains.seg_id]
+    longest = int(chains.counts.max())
     d = 1
-    while d < n:
+    while d < longest:
         can = pos - d >= first
         Ae = np.empty_like(A)
         Be = np.empty_like(B)
@@ -91,22 +92,20 @@ def segmented_compose_masks(
     return A, B
 
 
-def chain_all(ok: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
-    """Broadcast a per-element predicate to per-segment ALL (a chain is only
+def chain_all(ok: np.ndarray, chains: Chains) -> np.ndarray:
+    """Broadcast a per-row predicate to per-chain ALL (a chain is only
     usable as a unit -- one bad step poisons the whole bucket chain)."""
-    starts = np.nonzero(seg_start)[0]
-    counts = np.diff(np.append(starts, len(ok)))
-    return np.repeat(np.logical_and.reduceat(ok, starts), counts)
+    return np.logical_and.reduceat(ok, chains.starts)[chains.seg_id]
 
 
 def _group_by_bucket(idx: np.ndarray, size: int):
-    """The one grouping pass of a batch: ``(order, seg_start, starts, counts)``.
+    """The one grouping pass of a batch: ``(order, starts, counts)``.
 
     ``order`` stably sorts the rows by bucket, so each bucket's packets are
     contiguous and in arrival order: chain ``k`` is ``order[starts[k] :
     starts[k] + counts[k]]``, a row's occurrence rank is its offset into its
-    chain, and ``seg_start`` is the boolean mask of chain starts
-    (``[7, 3, 7, 7, 3]`` -> order ``[1, 4, 0, 2, 3]``, starts ``[0, 2]``).
+    chain (``[7, 3, 7, 7, 3]`` -> order ``[1, 4, 0, 2, 3]``, starts ``[0, 2]``,
+    counts ``[2, 3]``).
     A register of up to 65,536 cells sorts on a ``uint16`` key, which numpy
     sorts by radix -- about ten times faster than comparing ``int64``.
     """
@@ -117,8 +116,8 @@ def _group_by_bucket(idx: np.ndarray, size: int):
     seg_start[0] = True
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=seg_start[1:])
     starts = np.flatnonzero(seg_start)
-    counts = np.diff(starts, append=len(idx))
-    return order, seg_start, starts, counts
+    counts = np.concatenate((starts[1:], [len(idx)])) - starts
+    return order, starts, counts
 
 
 def _count_fallback(reason: str, amount: int) -> None:
@@ -145,10 +144,12 @@ class RegisterAction:
     per-element scalar loop (exact, just slow).
 
     ``chain_fn`` optionally folds a whole duplicate-bucket chain at once:
-    ``chain_fn(stored, p1, p2, seg_start, value_mask)`` over rows sorted so
+    ``chain_fn(stored, p1, p2, chains, value_mask)`` over rows sorted so
     each bucket's packets are contiguous and in arrival order, with
     ``stored`` the bucket's pre-chain value repeated across its rows and
-    ``seg_start`` marking chain starts.  It returns ``(new_values, results,
+    ``chains`` the :class:`Chains` layout the batch's one grouping pass found
+    (starts, lengths, chain number per row -- handed through so no kernel
+    derives them again).  It returns ``(new_values, results,
     ok)`` where ``new_values[i]`` is the stored value *after* row ``i``,
     ``results`` the per-row exports, and ``ok`` a per-row validity mask
     (``None`` = exact everywhere) that is uniform over each chain
@@ -244,13 +245,11 @@ class Register:
             for i in range(n):
                 results[i] = self.execute(action_name, int(idx[i]), int(p1[i]), int(p2[i]))
             return results
-        order, seg_start, starts, counts = _group_by_bucket(idx, self.size)
+        order, starts, counts = _group_by_bucket(idx, self.size)
         if len(starts) == n:
             self._apply_rank(action, slice(None), idx, p1, p2, results)
         elif action.chain_fn is not None and counts.max() > _CHAIN_FOLD_THRESHOLD:
-            self._execute_chained(
-                action, order, seg_start, starts, counts, idx, p1, p2, results
-            )
+            self._execute_chained(action, order, starts, counts, idx, p1, p2, results)
         else:
             self._execute_ranked(action, order, starts, counts, idx, p1, p2, results)
         return results
@@ -259,7 +258,6 @@ class Register:
         self,
         action: RegisterAction,
         order: np.ndarray,
-        seg_start: np.ndarray,
         starts: np.ndarray,
         counts: np.ndarray,
         idx: np.ndarray,
@@ -278,8 +276,9 @@ class Register:
         """
         sorted_idx = idx[order]
         stored = self._cells[sorted_idx].astype(np.int64)
+        chains = Chains(starts, counts, np.repeat(np.arange(len(starts)), counts))
         new_values, chain_results, ok = action.chain_fn(
-            stored, p1[order], p2[order], seg_start, self.value_mask
+            stored, p1[order], p2[order], chains, self.value_mask
         )
         last = starts + counts - 1
         good = None if ok is None else ok[starts]

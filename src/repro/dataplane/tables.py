@@ -8,10 +8,12 @@ here and reused both for matching and for resource accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.telemetry import TELEMETRY as _TELEMETRY
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,46 @@ class TableEntry:
         return all(tf.matches(int(fields.get(name, 0))) for name, tf in self.match)
 
 
+#: Packed keys up to this many bits resolve through a direct-index table
+#: (one gather); wider ones through a binary search over the sorted entry keys.
+_DIRECT_KEY_BITS = 16
+
+
+def _pack_layout(shape: Tuple[Tuple[str, int], ...]):
+    """``([(name, mask, shift)], bits)`` packing one mask shape's masked
+    fields side by side into a non-negative ``int64`` key -- or ``None`` when
+    a mask is not one run of bits or the runs total more than 63 bits (a
+    5-tuple exact match is 104).  ``shift`` is signed: positive is right."""
+    layout, bits = [], 0
+    for name, mask in shape:
+        low = (mask & -mask).bit_length() - 1
+        run = mask >> low
+        if run & (run + 1):
+            return None
+        layout.append((name, mask, low - bits))
+        bits += run.bit_length()
+    return (layout, bits) if bits <= 63 else None
+
+
+def _shifted(value, shift: int):
+    return value >> shift if shift >= 0 else value << -shift
+
+
+class TableClassifier(NamedTuple):
+    """A table's rules compiled by mask shape (tuple space) for batches."""
+
+    size: int  #: entry count: the position that means "no entry"
+    #: What every packet resolves to at worst: the first wildcard entry, else
+    #: ``size``.  Entries below it can never win and are not compiled.
+    floor: int
+    #: ``(layout, keys, positions)`` per packable multi-entry shape; ``keys is
+    #: None`` means ``positions`` is indexed by the packed key itself.
+    packed: List[tuple]
+    single: List[tuple]  #: ``(position, [(name, mask, value)])``: masked equality
+    unpackable: int  #: entries of ``single`` from multi-entry shapes that cannot pack
+    values: Dict[tuple, np.ndarray]  #: ``classify_batch``'s ``(arg, default)`` tables
+
+
 class MatchActionTable:
     """Base class: a named table holding prioritized entries."""
 
@@ -108,6 +150,9 @@ class MatchActionTable:
         self._entries: List[TableEntry] = []
         self.default_action: Optional[str] = None
         self.default_args: Dict[str, Any] = {}
+        #: Compiled on the first batch after a rule change; every mutator
+        #: drops it with one store and compiles nothing.
+        self._classifier: Optional[TableClassifier] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -119,6 +164,7 @@ class MatchActionTable:
     def set_default(self, action: str, args: Optional[Mapping[str, Any]] = None) -> None:
         self.default_action = action
         self.default_args = dict(args or {})
+        self._classifier = None
 
     def insert(self, entry: TableEntry) -> TableEntry:
         for name, _ in entry.match:
@@ -133,18 +179,22 @@ class MatchActionTable:
             )
         self._entries.append(entry)
         self._entries.sort(key=lambda e: -e.priority)
+        self._classifier = None
         return entry
 
     def remove(self, entry: TableEntry) -> None:
         self._entries.remove(entry)
+        self._classifier = None
 
     def remove_where(self, predicate: Callable[[TableEntry], bool]) -> int:
         before = len(self._entries)
         self._entries = [e for e in self._entries if not predicate(e)]
+        self._classifier = None
         return before - len(self._entries)
 
     def clear(self) -> None:
         self._entries.clear()
+        self._classifier = None
 
     def lookup(self, fields: Mapping[str, int]) -> Tuple[Optional[str], Dict[str, Any]]:
         """First (highest-priority) matching entry, else the default action."""
@@ -153,6 +203,79 @@ class MatchActionTable:
                 return entry.action, entry.args_dict()
         return self.default_action, dict(self.default_args)
 
+    def classifier(self) -> TableClassifier:
+        """The rules compiled for batches, built on first use after a rule
+        change; its identity is the rule set's version (a caller that derived
+        state from it recompiles when this returns another object).
+
+        Entries sharing a mask shape are one exact-match group on the masked,
+        packed fields: a batch costs one lookup per *shape*, not per entry.
+        """
+        if self._classifier is not None:
+            return self._classifier
+        by_shape: Dict[tuple, List[int]] = {}
+        for pos, entry in enumerate(self._entries):
+            shape = tuple((name, tf.mask) for name, tf in entry.match if tf.mask)
+            by_shape.setdefault(shape, []).append(pos)
+        size = len(self._entries)
+        floor = by_shape.pop((), [size])[0]
+        packed, single, unpackable = [], [], 0
+        for shape, positions in by_shape.items():
+            positions = [pos for pos in positions if pos < floor]
+            packing = _pack_layout(shape) if len(positions) > 1 else None
+            if packing is None:
+                unpackable += len(positions) if len(positions) > 1 else 0
+                single += [
+                    (pos, [(name, tf.mask, tf.value & tf.mask)
+                           for name, tf in self._entries[pos].match if tf.mask])
+                    for pos in positions
+                ]
+                continue
+            layout, bits = packing
+            first: Dict[int, int] = {}  # duplicate keys: the lowest position wins
+            for pos in positions:
+                match = dict(self._entries[pos].match)
+                key = sum(_shifted(match[n].value & mask, shift) for n, mask, shift in layout)
+                first.setdefault(key, pos)
+            if bits <= _DIRECT_KEY_BITS:
+                table = np.full(1 << bits, size, dtype=np.int64)
+                table[list(first)] = list(first.values())
+                packed.append((layout, None, table))
+            else:  # sorted keys plus one pad slot, where keys above them all land
+                keys = sorted(first)
+                packed.append(
+                    (layout, np.array(keys + keys[-1:]), np.array([first[k] for k in keys] + [size]))
+                )
+        self._classifier = TableClassifier(size, floor, packed, single, unpackable, {})
+        return self._classifier
+
+    def _winning_positions(self, batch, n: Optional[int]) -> np.ndarray:
+        """Per packet, the lowest matching entry position -- ``lookup``'s
+        first match by priority -- or ``len(entries)`` where none matches."""
+        compiled = self.classifier()
+        out = np.full(len(batch) if n is None else n, compiled.floor, dtype=np.int64)
+        for layout, keys, positions in compiled.packed:
+            name, mask, shift = layout[0]
+            key = _shifted(batch.get(name) & mask, shift)
+            for name, mask, shift in layout[1:]:
+                key |= _shifted(batch.get(name) & mask, shift)
+            if keys is None:
+                found = positions[key]
+            else:
+                at = np.searchsorted(keys[:-1], key)
+                found = np.where(keys[at] == key, positions[at], compiled.size)
+            np.minimum(out, found, out=out)
+        for pos, fields in compiled.single:
+            hit = out > pos
+            for name, mask, value in fields:
+                hit &= (batch.get(name) & mask) == value
+            out[hit] = pos
+        if compiled.unpackable and _TELEMETRY.enabled:  # no silent slow path
+            _TELEMETRY.registry.counter(
+                "flymon_classify_fallback_total", reason="unpackable"
+            ).inc(compiled.unpackable * len(out))
+        return out
+
     def match_batch(self, batch, n: Optional[int] = None) -> np.ndarray:
         """Winning entry position per packet of a columnar batch.
 
@@ -160,22 +283,11 @@ class MatchActionTable:
         with ``get(name) -> ndarray`` works).  Returns an ``int64`` array
         whose element is the index into :attr:`entries` of the
         highest-priority matching entry, or ``-1`` where only the default
-        action applies -- the batched dual of :meth:`lookup`, iterating the
-        (few) installed entries instead of the (many) packets.
+        action applies -- the batched dual of :meth:`lookup`, one lookup per
+        mask shape (see :meth:`classifier`) instead of one per packet.
         """
-        if n is None:
-            n = len(batch)
-        out = np.full(n, -1, dtype=np.int64)
-        unassigned = np.ones(n, dtype=bool)
-        for pos, entry in enumerate(self._entries):
-            if not unassigned.any():
-                break
-            candidate = unassigned.copy()
-            for name, tf in entry.match:
-                column = batch.get(name)
-                candidate &= (column & tf.mask) == (tf.value & tf.mask)
-            out[candidate] = pos
-            unassigned &= ~candidate
+        out = self._winning_positions(batch, n)
+        out[out == len(self._entries)] = -1
         return out
 
     def classify_batch(
@@ -188,15 +300,17 @@ class MatchActionTable:
         Packets matching no entry (or an entry/default without ``arg``) get
         ``default``.
         """
-        positions = self.match_batch(batch, n)
-        out = np.full(len(positions), default, dtype=np.int64)
-        for pos, entry in enumerate(self._entries):
-            value = entry.args_dict().get(arg)
-            if value is not None:
-                out[positions == pos] = int(value)
-        if self.default_action is not None and arg in self.default_args:
-            out[positions == -1] = int(self.default_args[arg])
-        return out
+        positions = self._winning_positions(batch, n)
+        cache = self.classifier().values
+        values = cache.get((arg, default))
+        if values is None:
+            found = [dict(entry.args).get(arg) for entry in self._entries]
+            # One more slot answers the packets no entry matched.
+            found.append(self.default_args.get(arg) if self.default_action is not None else None)
+            values = cache[arg, default] = np.array(
+                [default if value is None else int(value) for value in found], dtype=np.int64
+            )
+        return values[positions]
 
 
 class TableFullError(RuntimeError):

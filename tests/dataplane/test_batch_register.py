@@ -13,6 +13,7 @@ from repro.core.operations import (
     load_reduced_operation_set,
 )
 from repro.dataplane.register import (
+    Chains,
     Register,
     RegisterAction,
     _group_by_bucket,
@@ -29,6 +30,14 @@ def _pair(size=256, bit_width=16):
     load_reduced_operation_set(a)
     load_reduced_operation_set(b)
     return a, b
+
+
+def _chains(seg_start):
+    """The layout ``execute_batch`` hands the fold kernels, from a
+    chain-start mask."""
+    starts = np.flatnonzero(seg_start)
+    counts = np.diff(starts, append=len(seg_start))
+    return Chains(starts, counts, np.repeat(np.arange(len(starts)), counts))
 
 
 def _doubling_cummax(x, seg_start):
@@ -72,9 +81,10 @@ class TestOccurrenceRanks:
         # A row's rank is its offset into its bucket's chain of the one
         # grouping permutation.
         idx = np.array([7, 3, 7, 7, 3])
-        order, seg_start, starts, counts = _group_by_bucket(idx, 8)
+        order, starts, counts = _group_by_bucket(idx, 8)
         np.testing.assert_array_equal(order, [1, 4, 0, 2, 3])
-        np.testing.assert_array_equal(seg_start, [True, False, True, False, False])
+        np.testing.assert_array_equal(starts, [0, 2])
+        np.testing.assert_array_equal(counts, [2, 3])
         ranks = np.empty(len(idx), dtype=np.int64)
         ranks[order] = np.arange(len(idx)) - np.repeat(starts, counts)
         np.testing.assert_array_equal(ranks, [0, 0, 1, 2, 1])
@@ -83,7 +93,7 @@ class TestOccurrenceRanks:
 class TestSegmentedScans:
     def test_cumsum_cumxor_cummax_reset_at_segments(self):
         x = np.array([3, 1, 4, 1, 5, 9, 2], dtype=np.int64)
-        seg = np.array([True, False, False, True, False, True, False])
+        seg = _chains(np.array([True, False, False, True, False, True, False]))
         np.testing.assert_array_equal(
             segmented_cumsum(x, seg), [3, 4, 8, 1, 6, 9, 11]
         )
@@ -101,14 +111,14 @@ class TestSegmentedScans:
             seg = rng.random(n) < 0.2
             seg[0] = True
             np.testing.assert_array_equal(
-                segmented_cummax(x, seg), _doubling_cummax(x, seg)
+                segmented_cummax(x, _chains(seg)), _doubling_cummax(x, seg)
             )
 
     def test_compose_masks_folds_and_or_chains(self):
         # segment 1: OR 0b01 then AND 0b10 -> x&0b10; segment 2: OR 0b100
         A = np.array([0xFF, 0b10, 0xFF], dtype=np.int64)
         B = np.array([0b01, 0, 0b100], dtype=np.int64)
-        seg = np.array([True, False, True])
+        seg = _chains(np.array([True, False, True]))
         CA, CB = segmented_compose_masks(A, B, seg)
         for x in (0, 0b11, 0b1010):
             assert ((x & CA[1]) | CB[1]) == (((x | 0b01) & 0b10))
@@ -116,7 +126,7 @@ class TestSegmentedScans:
 
     def test_chain_all_poisons_whole_segment(self):
         ok = np.array([True, False, True, True])
-        seg = np.array([True, False, True, False])
+        seg = _chains(np.array([True, False, True, False]))
         np.testing.assert_array_equal(
             chain_all(ok, seg), [False, False, True, True]
         )

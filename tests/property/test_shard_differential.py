@@ -74,6 +74,23 @@ def _task_catalog(rng):
     ]
 
 
+def _tenants(rng):
+    """Eight armed Cond-ADD tasks on the disjoint /3 source blocks: filtered
+    tasks that share every CMU they land on (one slot each in its plan)."""
+    return [
+        MeasurementTask(
+            key=KEY_SRC_IP,
+            attribute=AttributeSpec.frequency(),
+            memory=128,
+            depth=3,
+            algorithm="cms",
+            threshold=int(rng.integers(20, 60)),
+            filter=TaskFilter.of(src_ip=(block << 29, 3)),
+        )
+        for block in range(8)
+    ]
+
+
 def _trace(rng, num_packets=3001, num_flows=300) -> Trace:
     flows = rng.integers(0, 1 << 32, size=num_flows, dtype=np.uint64)
     weights = 1.0 / np.arange(1, num_flows + 1) ** 1.1  # zipf-ish skew
@@ -132,9 +149,13 @@ def test_random_task_mix_scalar_vs_sharded(seed, strategy, workers):
         len(catalog), size=int(rng.integers(2, len(catalog) + 1)), replace=False
     )
     tasks = [catalog[i] for i in sorted(picks)]
+    if seed == 2:
+        tasks = _tenants(rng) + tasks
     trace = _trace(rng)
 
     scalar, scalar_handles = _deploy(tasks, strategy)
+    if seed == 2:
+        assert max(len(c.task_ids) for g in scalar.groups for c in g.cmus) >= 8
     sharded, sharded_handles = _deploy(tasks, strategy)
 
     scalar.process_trace(trace, batch_size=None)
