@@ -2,10 +2,13 @@
 
 The compiler turns an algorithm's per-row configurations into the rule list
 a real control plane would push through P4Runtime: hash-mask rules for newly
-configured compression units, one task-selection rule per row, the
-preparation-stage entries (address translation + parameter preprocessing),
-and a register zeroing per memory range.  The rule count drives the
-deployment-delay model (Table 3).
+configured compression units, and per row a register zeroing of its memory
+range, one task-selection rule and one rule standing for the row's
+preparation-stage entries (address translation + parameter preprocessing).
+That last rule carries its TCAM entry count (``RuntimeRule.entries``): the
+runtime counts every entry -- the rule count that drives the
+deployment-delay model (Table 3) -- without building one object per entry,
+so at most three rules per row plus the mask rules are ever built.
 
 Every stateful rule carries a **rollback** action so a failed or aborted
 install can restore the data plane bit-identically: hash-mask rules restore
@@ -113,12 +116,13 @@ def _row_rules(
         ),
     ]
     # Preparation-stage entries: address translation + p1 preprocessing.
-    # Functionally these are folded into the installed config; each physical
-    # TCAM entry that a live deployment would install is still issued as a
-    # rule so latency accounting matches hardware.  Static (compile-time
-    # const) mappings cost no runtime rules -- see ParamProcessor.
-    translation_rules = config.translation(cmu.register_size).table_rules()
-    prep_entries = translation_rules
+    # Functionally these are folded into the installed config, so the row's
+    # entries are one rule carrying their count: every physical TCAM entry a
+    # live deployment would install is still counted (rules_installed, the
+    # latency model, rule_apply fault hits), none is built one by one.
+    # Static (compile-time const) mappings cost no runtime rules -- see
+    # ParamProcessor.
+    prep_entries = config.translation(cmu.register_size).table_rules()
     # Rows in the same group with the same parameter source and mapping
     # share one preparation table (e.g. BeauCoup's coupon windows feed all
     # three CMUs), so its entries are installed once per group.
@@ -126,13 +130,14 @@ def _row_rules(
     if processor_key not in shared_prep:
         shared_prep.add(processor_key)
         prep_entries += config.p1_processor.runtime_entries()
-    for i in range(prep_entries):
+    if prep_entries:
         rules.append(
             RuntimeRule(
                 kind=RULE_KIND_TABLE,
                 target=f"{target}/preparation",
-                description=f"task {config.task_id}: prep entry {i}",
+                description=f"task {config.task_id}: {prep_entries} prep entries",
                 apply=_noop,
+                entries=prep_entries,
             )
         )
     return rules

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.algorithms import ALGORITHM_REGISTRY, default_algorithm_for
 from repro.core.algorithms.base import CmuAlgorithm, PlanContext, RowBinding, RowSlot
@@ -308,7 +308,7 @@ class FlyMonController:
             for m in algorithm.row_memory(base_memory)
         ]
 
-        window, score, error = self._find_window(task, algorithm, layout, row_memory)
+        window, cmus, score, error = self._find_window(task, layout, row_memory)
         if window is None:
             raise PlacementError(error or "no feasible placement")
         if _TELEMETRY.enabled:
@@ -321,9 +321,9 @@ class FlyMonController:
                 rows=len(row_memory),
             )
 
-        self._snapshot_control_stores(txn)
+        self._snapshot_control_stores(txn, window)
         rows, grants = self._claim_window(
-            task, algorithm, layout, row_memory, window, task_id=task_id
+            task, algorithm, row_memory, window, cmus, task_id=task_id
         )
         ctx = PlanContext(
             task=task,
@@ -477,12 +477,14 @@ class FlyMonController:
                 f"{algorithm_name} needs {len(layout)}"
             )
 
-        self._snapshot_control_stores(txn)
         rows: List[RowSlot] = []
         grants: List[Tuple[CmuGroup, KeyGrant]] = []
         try:
-            for gspec, rows_here in zip(group_specs, layout):
-                gid = int(gspec["group_id"])
+            gids = [int(gspec["group_id"]) for gspec in group_specs]
+            self._snapshot_control_stores(
+                txn, [self.groups[gid] for gid in gids if 0 <= gid < len(self.groups)]
+            )
+            for gspec, gid, rows_here in zip(group_specs, gids, layout):
                 if not 0 <= gid < len(self.groups):
                     raise PlacementError(f"pinned group {gid} does not exist")
                 group = self.groups[gid]
@@ -556,7 +558,7 @@ class FlyMonController:
             algorithm_name=algorithm_name,
             rows=bindings,
             install_report=report,
-            groups_used=tuple(int(g["group_id"]) for g in group_specs),
+            groups_used=tuple(gids),
             _grants=grants,
             _mem=[(row.cmu, row.mem) for row in rows],
         )
@@ -627,7 +629,9 @@ class FlyMonController:
     ) -> InstallReport:
         if handle.task_id not in self._handles:
             raise KeyError(f"task {handle.task_id} is not deployed")
-        self._snapshot_control_stores(txn)
+        self._snapshot_control_stores(
+            txn, dict.fromkeys(group for group, _grant in handle._grants)
+        )
         report = self.runtime.remove_deployment(
             f"task{handle.task_id}", transaction=txn
         )
@@ -1252,57 +1256,54 @@ class FlyMonController:
     def _find_window(
         self,
         task: MeasurementTask,
-        algorithm: CmuAlgorithm,
         layout: Sequence[int],
         row_memory: Sequence[int],
-    ) -> Tuple[Optional[List[CmuGroup]], int, Optional[str]]:
+    ) -> Tuple[
+        Optional[List[CmuGroup]], Optional[List[List[Cmu]]], int, Optional[str]
+    ]:
         """Best window of ``len(layout)`` consecutive groups for the task.
 
         Windows able to host the task are ranked by how many of the needed
         hash masks they already have (the greedy reuse strategy of §3.4).
-        Returns ``(window, key_reuse_score, error)``.
+        Returns ``(window, cmus, key_reuse_score, error)``, ``cmus`` being
+        the CMUs chosen in each window group -- the ones
+        :meth:`_claim_window` allocates on.  Overlapping windows share
+        verdicts: each (group, first row) is evaluated once.
         """
         span = len(layout)
         if span > len(self.groups):
             return (
                 None,
+                None,
                 -1,
                 f"task needs {span} groups; controller has {len(self.groups)}",
             )
-        best: Tuple[int, Optional[List[CmuGroup]]] = (-1, None)
+        first_rows = list(itertools.accumulate(layout, initial=0))
+        placeable: Dict[Tuple[int, int], Optional[List[Cmu]]] = {}
+        mask_spec = task.key.mask_spec()
+        best: tuple = (-1, None, None)
         last_error = None
         for start in range(len(self.groups) - span + 1):
             window = self.groups[start : start + span]
-            feasible, error = self._window_feasible(
-                task, algorithm, layout, row_memory, window
-            )
-            if not feasible:
-                last_error = error
-                continue
-            score = sum(
-                group.keys.mask_overlap(task.key.mask_spec()) for group in window
-            )
-            if score > best[0]:
-                best = (score, window)
-        return best[1], best[0], last_error
-
-    def _window_feasible(
-        self,
-        task: MeasurementTask,
-        algorithm: CmuAlgorithm,
-        layout: Sequence[int],
-        row_memory: Sequence[int],
-        window: Sequence[CmuGroup],
-    ) -> Tuple[bool, Optional[str]]:
-        row_index = 0
-        for group, rows_here in zip(window, layout):
-            candidates = self._placeable_cmus(group, task, rows_here, row_memory, row_index)
-            if candidates is None:
-                return False, (
-                    f"group {group.group_id}: not enough conflict-free CMUs/memory"
-                )
-            row_index += rows_here
-        return True, None
+            cmus: List[List[Cmu]] = []
+            for group, rows_here, row_index in zip(window, layout, first_rows):
+                key = (group.group_id, row_index)
+                if key not in placeable:
+                    placeable[key] = self._placeable_cmus(
+                        group, task, rows_here, row_memory, row_index
+                    )
+                if placeable[key] is None:
+                    last_error = (
+                        f"group {group.group_id}: not enough conflict-free CMUs/memory"
+                    )
+                    break
+                cmus.append(placeable[key])
+            else:
+                score = sum(group.keys.mask_overlap(mask_spec) for group in window)
+                if score > best[0]:
+                    best = (score, window, cmus)
+        score, window, cmus = best
+        return window, cmus, score, last_error
 
     def _placeable_cmus(
         self,
@@ -1318,7 +1319,7 @@ class FlyMonController:
         for cmu in group.cmus:
             if len(chosen) == len(needed):
                 break
-            if cmu.has_conflict(task.filter) and task.sample_prob >= 1.0:
+            if task.sample_prob >= 1.0 and cmu.has_conflict(task.filter):
                 continue
             allocator = self._allocators[(group.group_id, cmu.index)]
             if allocator.can_allocate(needed[len(chosen)]):
@@ -1329,19 +1330,21 @@ class FlyMonController:
         self,
         task: MeasurementTask,
         algorithm: CmuAlgorithm,
-        layout: Sequence[int],
         row_memory: Sequence[int],
         window: Sequence[CmuGroup],
+        cmus: Sequence[Sequence[Cmu]],
         task_id: Optional[int] = None,
     ) -> Tuple[List[RowSlot], List[Tuple[CmuGroup, KeyGrant]]]:
+        """Acquire the window's keys and allocate each row on the CMU
+        :meth:`_find_window` chose for it."""
         rows: List[RowSlot] = []
         grants: List[Tuple[CmuGroup, KeyGrant]] = []
         param_key = (
             task.attribute.param if algorithm.needs_param_key() else None
         )
-        row_index = 0
+        memory = iter(row_memory)
         try:
-            for group, rows_here in zip(window, layout):
+            for group, chosen in zip(window, cmus):
                 key_grant = group.keys.acquire(task.key.mask_spec())
                 grants.append((group, key_grant))
                 self._emit_key_grant(task_id, group, key_grant, role="key")
@@ -1352,14 +1355,9 @@ class FlyMonController:
                     param_grant = group.keys.acquire(param_key.mask_spec())
                     grants.append((group, param_grant))
                     self._emit_key_grant(task_id, group, param_grant, role="param")
-                cmus = self._placeable_cmus(group, task, rows_here, row_memory, row_index)
-                if cmus is None:
-                    raise PlacementError(
-                        f"group {group.group_id} became infeasible during claim"
-                    )
-                for offset, cmu in enumerate(cmus):
+                for cmu in chosen:
                     allocator = self._allocators[(group.group_id, cmu.index)]
-                    mem = allocator.allocate(row_memory[row_index + offset])
+                    mem = allocator.allocate(next(memory))
                     rows.append(
                         RowSlot(
                             group=group,
@@ -1369,15 +1367,19 @@ class FlyMonController:
                             param_grant=param_grant,
                         )
                     )
-                row_index += rows_here
         except (KeyExhaustedError, OutOfMemoryError) as exc:
             # Partial claims are rolled back by the enclosing transaction's
             # control-store snapshots; here we only translate the failure.
             raise PlacementError(str(exc)) from exc
         return rows, grants
 
-    def _snapshot_control_stores(self, txn: ReconfigTransaction) -> None:
-        """Record restorable snapshots of every control-plane store.
+    def _snapshot_control_stores(
+        self, txn: ReconfigTransaction, groups: Iterable[CmuGroup]
+    ) -> None:
+        """Record restorable snapshots of the control stores an operation
+        on ``groups`` can touch: the handle table, and each group's key pool
+        and CMU allocators.  Stores of other groups are left out -- the
+        operation never mutates them.
 
         Recorded before any mutation, so during rollback they run *after*
         the data-plane inverses (rule reverts) and reset the key pools,
@@ -1389,10 +1391,11 @@ class FlyMonController:
             self._handles = dict(handles)
 
         txn.record("restore the task-handle table", restore_handles)
-        for group in self.groups:
+        for group in groups:
             txn.snapshot(f"restore key pool of cmug{group.group_id}", group.keys)
-        for allocator in self._allocators.values():
-            txn.snapshot(f"restore allocator {allocator.owner}", allocator)
+            for cmu in group.cmus:
+                allocator = self._allocators[(group.group_id, cmu.index)]
+                txn.snapshot(f"restore allocator {allocator.owner}", allocator)
 
     @staticmethod
     def _emit_key_grant(

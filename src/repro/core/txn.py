@@ -15,7 +15,11 @@ Two kinds of entries are recorded:
   :meth:`repro.dataplane.runtime.RuntimeApi.remove_deployment` records;
 * **snapshots** -- cheap control-plane stores (key-manager refcounts, buddy
   allocator free lists, the controller's handle table) captured through
-  their ``snapshot()``/``restore()`` pair via :meth:`snapshot`.
+  their ``snapshot()``/``restore()`` pair via :meth:`snapshot`.  They are
+  scoped to what the operation can touch: the handle table plus the key
+  pool and allocators of the groups it works on (the chosen window for an
+  add, the pinned groups for a pinned add, the task's granted groups for a
+  remove), so an operation costs the same whatever the number of groups.
 
 Operations record their control-store snapshots *first* so they run *last*
 during rollback: data-plane unwinding (reverting rules, restoring hash

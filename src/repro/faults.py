@@ -10,7 +10,9 @@ robustness tests (and ``repro verify``) arm to exercise every rollback path:
 site                  where it fires
 ====================  =====================================================
 ``rule_apply``        :meth:`repro.dataplane.runtime.StagedInstall.apply`,
-                      before each southbound rule (raises mid-batch)
+                      once per rule entry before its rule (raises
+                      mid-batch; a preparation run of N TCAM entries is
+                      N hits)
 ``alloc_exhausted``   :meth:`repro.core.memory.BuddyAllocator.allocate`
                       (surfaces as ``OutOfMemoryError``)
 ``key_denied``        :meth:`repro.core.compression.CompressedKeyManager.
@@ -275,6 +277,17 @@ class FaultInjector:
         """:meth:`trip`, raising :class:`FaultError` when triggered."""
         if self.trip(site, **context) is not None:
             raise FaultError(site, context)
+
+    def fire_entries(self, site: str, entries: int, **context: object) -> None:
+        """:meth:`fire` once per entry of a rule standing for ``entries``
+        physical entries; with nothing armed at ``site``, one counter add."""
+        if self._arms.get(site):
+            for _ in range(entries):
+                self.fire(site, **context)
+            return
+        if site not in self._hits:
+            self._check_site(site)
+        self._hits[site] += entries
 
     def _record(self, arm: FaultArm, hit: int, context: dict) -> None:
         entry = {

@@ -66,6 +66,19 @@ class TestFaultInjector:
         assert inj.hit_count(SITE_RULE_APPLY) == 4
         assert len(inj.fired()) == 1
 
+    def test_fire_entries_counts_each_entry(self):
+        inj = FaultInjector()
+        inj.fire_entries(SITE_RULE_APPLY, 5)
+        assert inj.hit_count(SITE_RULE_APPLY) == 5
+        # Armed: the 7th hit is the 2nd entry of the next 4-entry rule.
+        inj.arm(SITE_RULE_APPLY, hit=7)
+        with pytest.raises(FaultError):
+            inj.fire_entries(SITE_RULE_APPLY, 4)
+        assert inj.hit_count(SITE_RULE_APPLY) == 7
+        assert [f["hit"] for f in inj.fired()] == [7]
+        with pytest.raises(FaultSpecError):
+            inj.fire_entries("bogus_site", 2)
+
     def test_trip_returns_arg(self):
         inj = FaultInjector()
         inj.arm(SITE_SHARD_TIMEOUT, hit=1, arg="0.2")

@@ -1,5 +1,8 @@
 """Property tests: forced failures never leak memory, keys, or rules.
 
+Each round compares the whole controller -- every group's stores and
+registers -- not only the groups the operation worked on.
+
 The schedule (seed, rounds) comes from the ``FLYMON_FAULTS`` options when
 the CI fault leg sets them, so the same suite scales from a quick local run
 to the leg's longer randomized sweep.
@@ -7,8 +10,7 @@ to the leg's longer randomized sweep.
 
 import random
 
-import pytest
-
+from controller_state import controller_state, without_rule_count
 from repro.core.controller import FlyMonController
 from repro.core.task import AttributeSpec, MeasurementTask, TaskFilter
 from repro.faults import (
@@ -36,23 +38,6 @@ def freq_task(**kwargs):
     return MeasurementTask(**kwargs)
 
 
-def snapshot(controller):
-    return (
-        controller.control_digest(),
-        controller.free_buckets(),
-        {g.group_id: g.keys.refcounts() for g in controller.groups},
-        controller.runtime.deployments(),
-    )
-
-
-def steady(snap):
-    """``snap`` minus the monotonic installed-rule counter: two successful
-    filter updates (apply + undo) legitimately grow ``total_rules`` while
-    leaving the measurement state bit-identical."""
-    digest, free, refs, deps = snap
-    return (digest[:3], free, refs, deps)
-
-
 def test_randomized_fault_rounds_never_leak(fault_schedule):
     seed, rounds = fault_schedule
     rng = random.Random(seed)
@@ -64,7 +49,7 @@ def test_randomized_fault_rounds_never_leak(fault_schedule):
                 filter=TaskFilter.of(src_ip=((10 + i) << 24, 8)),
             )
         )
-    baseline = snapshot(controller)
+    baseline = controller_state(controller)
     aborted = survived = 0
     for n in range(rounds):
         site, max_hit = SITES[rng.randrange(len(SITES))]
@@ -86,7 +71,7 @@ def test_randomized_fault_rounds_never_leak(fault_schedule):
             survived += 1
             FAULTS.disarm()
             controller.remove_task(handle)
-        assert snapshot(controller) == baseline, f"round {n}: {site}@{hit}"
+        assert controller_state(controller) == baseline, f"round {n}: {site}@{hit}"
         report = controller.verify_integrity()
         assert report.ok, report.describe()
     assert aborted + survived == rounds
@@ -106,7 +91,7 @@ def test_mixed_reconfig_failures_preserve_free_map(fault_schedule):
         for i in range(3)
     ]
     for n in range(max(5, rounds // 2)):
-        before = snapshot(controller)
+        before = controller_state(controller)
         site, max_hit = SITES[rng.randrange(len(SITES))]
         FAULTS.reset()
         FAULTS.arm(site, hit=rng.randint(1, max_hit))
@@ -126,7 +111,7 @@ def test_mixed_reconfig_failures_preserve_free_map(fault_schedule):
                     TaskFilter.of(src_ip=(victim.task.filter.prefixes[0][1][0], 9)),
                 )
         except Exception:
-            assert snapshot(controller) == before, f"round {n} leaked"
+            assert controller_state(controller) == before, f"round {n} leaked"
         else:
             # Survivable round: undo the mutation to restore the baseline.
             FAULTS.disarm()
@@ -142,7 +127,8 @@ def test_mixed_reconfig_failures_preserve_free_map(fault_schedule):
                         )
                     ),
                 )
-            assert steady(snapshot(controller)) == steady(before), (
+            after = controller_state(controller)
+            assert without_rule_count(after) == without_rule_count(before), (
                 f"round {n} undo drifted"
             )
         assert controller.verify_integrity().ok

@@ -1,8 +1,10 @@
 """Every control-plane mutation is transactional: an injected failure at any
 fault site rolls the controller back to bit-identical pre-call state."""
 
+import numpy as np
 import pytest
 
+from controller_state import controller_state
 from repro.core.compression import KeyExhaustedError
 from repro.core.controller import FlyMonController, PlacementError
 from repro.core.task import AttributeSpec, MeasurementTask, TaskFilter
@@ -19,7 +21,7 @@ from repro.faults import (
     SITE_KEY_DENIED,
     SITE_RULE_APPLY,
 )
-from repro.traffic.flows import KEY_SRC_IP
+from repro.traffic.flows import KEY_DST_IP, KEY_SRC_IP
 
 #: Exception types an aborted reconfiguration may surface, depending on site.
 ABORTS = (FaultError, PlacementError, KeyExhaustedError)
@@ -34,14 +36,8 @@ def freq_task(**kwargs):
     return MeasurementTask(**kwargs)
 
 
-def snapshot(controller):
-    """Everything a failed reconfiguration must leave untouched."""
-    return (
-        controller.control_digest(),
-        controller.free_buckets(),
-        {g.group_id: g.keys.refcounts() for g in controller.groups},
-        controller.runtime.deployments(),
-    )
+#: Everything a failed reconfiguration must leave untouched, in every group.
+snapshot = controller_state
 
 
 @pytest.fixture
@@ -90,6 +86,76 @@ class TestAddTaskRollback:
         handle = controller.add_task(probe)
         assert handle.task_id in {h.task_id for h in controller.tasks}
         assert controller.verify_integrity().ok
+
+
+def dirty_registers(controller, seed):
+    """Fill every register with noise, so a rolled-back register reset has
+    exact cells to restore and a stray write anywhere shows."""
+    rng = np.random.default_rng(seed)
+    for group in controller.groups:
+        for cmu in group.cmus:
+            cmu.register.write_range(0, rng.integers(0, 1 << 16, cmu.register_size))
+
+
+def probe_task():
+    return freq_task(memory=256, filter=TaskFilter.of(src_ip=(0x14000000, 8)))
+
+
+class TestWholeControllerRollback:
+    """An operation snapshots only the stores of the groups it works on;
+    every rule_apply hit of an add must still leave *all* groups' stores and
+    registers as they were."""
+
+    @pytest.fixture
+    def spread(self):
+        controller = FlyMonController(num_groups=9, register_size=1 << 12)
+        # Match-all residents conflict on every CMU: one group each (0-2).
+        for key in (KEY_SRC_IP, KEY_DST_IP, KEY_SRC_IP):
+            controller.add_task(freq_task(key=key, memory=256))
+        # Group 3, where the probe lands beside it (disjoint filters).
+        controller.add_task(
+            freq_task(
+                key=KEY_DST_IP,
+                memory=256,
+                filter=TaskFilter.of(src_ip=(0x0A000000, 8)),
+            )
+        )
+        assert {g for h in controller.tasks for g in h.groups_used} == {0, 1, 2, 3}
+        FAULTS.reset()
+        return controller
+
+    def test_unarmed_add_hits_once_per_rule_entry(self, spread):
+        handle = spread.add_task(probe_task())
+        assert handle.groups_used == (3,)
+        assert FAULTS.hit_count(SITE_RULE_APPLY) == handle.rules_installed
+        # Preparation runs hold many TCAM entries each: the hit range below
+        # reaches inside them.
+        per_row = 3 * len(handle.rows) + handle.install_report.hash_mask_rules
+        assert handle.rules_installed > per_row
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["add_task", "add_task_pinned"])
+    def test_every_rule_apply_hit_restores_every_group(self, spread, pinned):
+        handle = spread.add_task(probe_task())
+        pin = spread.export_placement(handle)
+        hits = handle.rules_installed
+        spread.remove_task(handle)
+        dirty_registers(spread, seed=7)
+        before = snapshot(spread)
+
+        def add():
+            if pinned:
+                return spread.add_task_pinned(probe_task(), pin)
+            return spread.add_task(probe_task())
+
+        for hit in range(1, hits + 1):
+            FAULTS.reset()
+            FAULTS.arm(SITE_RULE_APPLY, hit=hit)
+            with pytest.raises(FaultError):
+                add()
+            assert snapshot(spread) == before, f"rule_apply@{hit}"
+        assert spread.verify_integrity().ok
+        FAULTS.reset()
+        assert add().rules_installed == hits == FAULTS.hit_count(SITE_RULE_APPLY)
 
 
 class TestFilterUpdateRollback:
