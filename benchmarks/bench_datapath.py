@@ -175,100 +175,3 @@ def test_compression_stage_cost(benchmark):
         params={"hash_units": 3},
     )
 
-
-def test_datapath_shard(benchmark):
-    """Single-pipeline batched engine vs the sharded worker pool, warm.
-
-    Runs the Fig. 14a heavy-hitter workload through two identical
-    deployments -- once as sequential column batches, once sharded over the
-    controller's resident worker pool with exact register merging -- and
-    verifies registers match bit-for-bit.  The cold pass (fork + replica build) is timed separately; the measured
-    pass is the steady state an epoch-rotating service actually pays --
-    delta sync, shared-memory column copies, compute, snapshot-out.  Both
-    deployments process the trace twice so the accumulated register state
-    stays comparable, and the warm report must show ``build_ms == 0`` on
-    every shard (the replicas were not rebuilt).
-
-    Persists ``BENCH_datapath_shard.json``.  The speedup bound
-    (warm pool at least matches the batched single pipeline) only applies
-    when the machine has the cores (cpu_count >= workers).
-    """
-    num_packets = int(os.environ.get("FLYMON_BENCH_PACKETS", "0")) or (
-        400_000 if os.environ.get("FLYMON_FULL", "") == "1" else 40_000
-    )
-    workers = 2
-    batch_size = 8192
-    trace = zipf_trace(num_flows=2_000, num_packets=num_packets, seed=14)
-
-    batched = _heavy_hitter_controller()
-    pooled = _heavy_hitter_controller()
-
-    try:
-        # Cold pass: fork the pool, build the replicas, first run.  The
-        # batched side runs too so both accumulate the same state.
-        batched.process_trace(trace, batch_size=batch_size)
-        start = time.perf_counter()
-        cold_report = pooled.process_trace_sharded(
-            trace, workers=workers, batch_size=batch_size
-        )
-        cold_seconds = time.perf_counter() - start
-        assert cold_report.backend == "process"
-        assert cold_report.fallback is None
-
-        def compare():
-            start = time.perf_counter()
-            batched.process_trace(trace, batch_size=batch_size)
-            batch_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            report = pooled.process_trace_sharded(
-                trace, workers=workers, batch_size=batch_size
-            )
-            shard_seconds = time.perf_counter() - start
-            return batch_seconds, shard_seconds, report
-
-        (batch_seconds, shard_seconds, report), _total = run_once_timed(
-            benchmark, compare
-        )
-        assert report.backend == "process"
-        assert report.shards == workers
-        assert all(t["build_ms"] == 0.0 for t in report.shard_timings)
-
-        identical = True
-        for group_batch, group_shard in zip(batched.groups, pooled.groups):
-            for cmu_batch, cmu_shard in zip(group_batch.cmus, group_shard.cmus):
-                reg_batch, reg_shard = cmu_batch.register, cmu_shard.register
-                same = (
-                    reg_batch.read_range(0, reg_batch.size)
-                    == reg_shard.read_range(0, reg_shard.size)
-                ).all()
-                identical = identical and bool(same)
-                assert same
-    finally:
-        pooled.close_shard_pool()
-
-    speedup = (
-        batch_seconds / shard_seconds if batch_seconds and shard_seconds else None
-    )
-    cpu_count = os.cpu_count() or 1
-    write_bench_json(
-        "datapath_shard",
-        batch_seconds=batch_seconds,
-        shard_seconds=shard_seconds,
-        cold_seconds=cold_seconds,
-        batch_pps=num_packets / batch_seconds if batch_seconds else None,
-        shard_pps=num_packets / shard_seconds if shard_seconds else None,
-        speedup_vs_batched=speedup,
-        sync_ms=report.timing.get("sync_ms"),
-        transport_ms=sum(t["transport_ms"] for t in report.shard_timings),
-        workers=workers,
-        backend=report.backend,
-        cpu_count=cpu_count,
-        identical=identical,
-        num_packets=num_packets,
-        batch_size=batch_size,
-        params={"tasks": 1, "algorithm": "cms", "depth": 3},
-    )
-    assert speedup is not None
-    if cpu_count >= workers:
-        # A warm pool must at least match the single batched pipeline.
-        assert speedup >= 1.0

@@ -73,12 +73,9 @@ def solo_reference(trace, epochs):
     )
     for task in tasks():
         service.controller.add_task(task)
-    try:
-        service.ingest(trace)
-        service.rotate()
-        return service.stats()
-    finally:
-        service.controller.close_shard_pool()
+    service.ingest(trace)
+    service.rotate()
+    return service.stats()
 
 
 def fabric_run(trace, epochs, switches):

@@ -45,38 +45,20 @@ def deploy(controller):
     return cms, hll
 
 
-def stream(trace, epochs, workers, chunk=None):
-    """Run the epoch-rotating service over ``trace``; ``epochs=1`` with a
-    ``chunk`` gives the rotation-free control run whose ingest windows (and
-    therefore shard dispatches) match the rotating run's exactly."""
-    from repro.traffic.packet import PACKET_FIELDS
-    from repro.traffic.trace import Trace
-
+def stream(trace, epochs):
+    """Run the epoch-rotating service over ``trace``."""
     controller = FlyMonController(num_groups=3)
     cms, hll = deploy(controller)
     service = MeasurementService(
-        controller,
-        epoch_packets=(len(trace) + 1) if epochs == 1 else len(trace) // epochs,
-        retain=8,
-        workers=workers,
+        controller, epoch_packets=len(trace) // epochs, retain=8
     )
     service.register_series("card", CardinalityQuery(hll))
     service.add_watcher(
         Watcher("spike", cardinality_metric(TaskRef(hll)), above=1e12)
     )
-    try:
-        for start in range(0, len(trace), chunk or len(trace)):
-            piece = Trace(
-                {
-                    f: trace.columns[f][start : start + (chunk or len(trace))]
-                    for f in PACKET_FIELDS
-                }
-            )
-            service.ingest(piece)
-        service.rotate()
-        return service.stats()
-    finally:
-        controller.close_shard_pool()
+    service.ingest(trace)
+    service.rotate()
+    return service.stats()
 
 
 def one_shot(trace):
@@ -100,37 +82,18 @@ def test_service_stream(benchmark, quick):
     baseline, base_seconds = run_once_timed(benchmark, one_shot, trace)
     assert baseline == len(trace)
 
-    import os
     import time
 
-    results = {}
-    for name, workers in (("workers1", 1), ("workers2", 2)):
-        start = time.perf_counter()
-        stats = stream(trace, epochs, workers)
-        seconds = time.perf_counter() - start
-        assert stats["packets_total"] == len(trace)
-        assert stats["epoch"] >= epochs
-        results[name] = {
-            "seconds": seconds,
-            "packets_per_second": len(trace) / seconds,
-            "epochs": stats["epoch"],
-        }
-
-    # Isolate what rotation itself costs on the persistent pool: the same
-    # sharded ingest fed in epoch-sized chunks but sealing only once, vs
-    # the epoch-rotating run.  Both legs pay identical fork /
-    # replica-build / shm / dispatch costs window for window, so the delta
-    # is purely seal work (snapshot + digests + series + watchers + the
-    # pool's in-place seal broadcast) times the epoch count.
     start = time.perf_counter()
-    stats = stream(trace, 1, 2, chunk=len(trace) // epochs)
-    no_rotation_seconds = time.perf_counter() - start
+    stats = stream(trace, epochs)
+    seconds = time.perf_counter() - start
     assert stats["packets_total"] == len(trace)
-    persistent_rotation_pct = (
-        100.0
-        * (results["workers2"]["seconds"] - no_rotation_seconds)
-        / no_rotation_seconds
-    )
+    assert stats["epoch"] >= epochs
+    streaming = {
+        "seconds": seconds,
+        "packets_per_second": len(trace) / seconds,
+        "epochs": stats["epoch"],
+    }
 
     write_bench_json(
         "service_stream",
@@ -140,27 +103,15 @@ def test_service_stream(benchmark, quick):
             "seconds": base_seconds,
             "packets_per_second": len(trace) / base_seconds,
         },
-        streaming=results,
-        rotation_overhead_pct={
-            name: 100.0 * (run["seconds"] - base_seconds) / base_seconds
-            for name, run in results.items()
-        },
-        persistent_no_rotation_seconds=no_rotation_seconds,
-        persistent_rotation_overhead_pct=persistent_rotation_pct,
+        streaming=streaming,
+        rotation_overhead_pct=100.0 * (seconds - base_seconds) / base_seconds,
         params={"packets": len(trace), "epochs": epochs},
     )
-    if not quick and (os.cpu_count() or 1) >= 2:
-        # At paper scale (40k-packet epochs) in-place sealing must stay
-        # under 10% of the sharded ingest itself; at the quick CI scale
-        # the per-seal query-plane work (series + watchers) dominates the
-        # tiny 4k-packet windows, so the ratio is only tracked in JSON.
-        assert persistent_rotation_pct < 10.0
-    for name, run in sorted(results.items()):
-        print(
-            f"service {name}: {run['packets_per_second']:,.0f} pps over "
-            f"{run['epochs']} epochs (one-shot "
-            f"{len(trace) / base_seconds:,.0f} pps)"
-        )
+    print(
+        f"service: {streaming['packets_per_second']:,.0f} pps over "
+        f"{streaming['epochs']} epochs (one-shot "
+        f"{len(trace) / base_seconds:,.0f} pps)"
+    )
 
 
 @pytest.mark.benchmark(group="service")
@@ -206,7 +157,6 @@ def test_service_wal(benchmark, quick, tmp_path):
         finally:
             if wal is not None:
                 wal.close()
-            controller.close_shard_pool()
 
     def wal_off():
         return run()[0]

@@ -6,8 +6,8 @@ Usage::
     python -m repro list-experiments
     python -m repro run <experiment> [--full] [--telemetry PATH]
     python -m repro stats [--experiment NAME | --input PATH] [--format FMT]
-    python -m repro profile [--workers N] [--trace-out PATH]
-    python -m repro top [--workers N]
+    python -m repro profile [--workload stream|batch] [--trace-out PATH]
+    python -m repro top [--watch-fill F]
     python -m repro bench-compare [--update-baseline]
     python -m repro demo
 
@@ -34,9 +34,9 @@ class GracefulShutdown(Exception):
 
     Riding an exception through the ingest loop funnels the signal into the
     same cleanup path as a completed trace: wall-clock sealers stop, the
-    ragged tail window seals, the WAL flushes through its close-time
-    reattach, and the shard pool shuts down -- instead of the default
-    handler killing the process mid-epoch.
+    ragged tail window seals, and the WAL flushes through its close-time
+    reattach -- instead of the default handler killing the process
+    mid-epoch.
     """
 
 #: Experiment name -> harness module (each exposes run()/format_result()).
@@ -91,15 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="datapath batch size for trace replays (0 forces the scalar "
         "reference path; default: the engine's built-in size). Both paths "
         "are bit-identical -- this only trades speed",
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard trace replays over N parallel datapath workers "
-        "(default: FLYMON_WORKERS or 1). Worker register state is merged "
-        "exactly, so results stay bit-identical to a sequential replay",
     )
 
     stats = sub.add_parser(
@@ -205,10 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--retain", type=int, default=16, metavar="N",
         help="sealed epochs kept in the ring (default: 16)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shard ingestion over N parallel datapath workers",
     )
     serve.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
@@ -321,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("stream", "batch"),
         default="stream",
         help="stream: the continuous service with epoch rotation; "
-        "batch: one sharded trace replay (default: stream)",
+        "batch: one batched trace replay (default: stream)",
     )
     psource = profile.add_mutually_exclusive_group()
     psource.add_argument(
@@ -339,10 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--epoch-size", type=int, default=None, metavar="N",
         help="stream workload: rotate every N packets (default: packets/20)",
-    )
-    profile.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shard the datapath over N parallel workers",
     )
     profile.add_argument(
         "--batch-size", type=int, default=None, metavar="N"
@@ -377,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = sub.add_parser(
         "top",
         help="run the streaming service with a live refreshing dashboard: "
-        "pps, epoch seal ms, shard utilization, watcher fires",
+        "pps, epoch seal ms, health, watcher fires",
     )
     tsource = top.add_mutually_exclusive_group()
     tsource.add_argument("--input", metavar="PATH", default=None)
@@ -390,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--flows", type=int, default=5_000, metavar="N")
     top.add_argument("--seed", type=int, default=1, metavar="N")
     top.add_argument("--epoch-size", type=int, default=None, metavar="N")
-    top.add_argument("--workers", type=int, default=1, metavar="N")
     top.add_argument("--batch-size", type=int, default=None, metavar="N")
     top.add_argument(
         "--chunk", type=int, default=16_384, metavar="N",
@@ -683,16 +665,11 @@ def cmd_run(
     full: bool,
     telemetry_path: Optional[str] = None,
     batch_size: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> int:
     if batch_size is not None:
         # Experiment drivers read FLYMON_BATCH_SIZE via
         # repro.experiments.common.default_batch_size.
         os.environ["FLYMON_BATCH_SIZE"] = str(batch_size)
-    if workers is not None:
-        # Experiment drivers read FLYMON_WORKERS via
-        # repro.experiments.common.default_workers.
-        os.environ["FLYMON_WORKERS"] = str(workers)
     if telemetry_path is not None:
         parent = os.path.dirname(telemetry_path) or "."
         if not os.path.isdir(parent):
@@ -1061,7 +1038,6 @@ def cmd_serve(args) -> int:
     if args.telemetry is not None:
         telemetry.reset()
         telemetry.enable()
-    controller = None
     try:
         controller = FlyMonController(num_groups=3)
         try:
@@ -1091,7 +1067,6 @@ def cmd_serve(args) -> int:
             epoch_duration_us=epoch_duration_us,
             epoch_wall_ms=epoch_wall_ms,
             retain=args.retain,
-            workers=args.workers,
             batch_size=args.batch_size,
             max_stall_ms=getattr(args, "max_stall_ms", None),
         )
@@ -1222,7 +1197,7 @@ def cmd_serve(args) -> int:
             halted = exc
         except GracefulShutdown:
             # SIGTERM: stop ingesting, but run the full shutdown path --
-            # seal the tail, flush the WAL, close the shard pool.
+            # seal the tail, flush the WAL.
             terminated = True
         finally:
             if prev_sigterm is not None:
@@ -1258,7 +1233,7 @@ def cmd_serve(args) -> int:
             )
         print(
             f"served {stats['packets_total']} packets across {stats['epoch']} "
-            f"epochs ({stats['sealed_epochs']} retained), workers={args.workers}"
+            f"epochs ({stats['sealed_epochs']} retained)"
         )
         if args.checkpoint is not None:
             artifact = service_checkpoint(service)
@@ -1291,15 +1266,13 @@ def cmd_serve(args) -> int:
                 f"telemetry: {len(snapshot['events'])} events -> {args.telemetry}"
             )
     finally:
-        if controller is not None:
-            controller.close_shard_pool()
         if args.telemetry is not None:
             telemetry.disable()
     return 0
 
 
 def _build_stream_workload(args):
-    """Controller + service + trace for the profile/top stream workloads."""
+    """Trace + service + task refs for the profile/top stream workloads."""
     from repro.core.controller import FlyMonController, PlacementError
     from repro.service import (
         CardinalityQuery,
@@ -1326,14 +1299,13 @@ def _build_stream_workload(args):
         controller,
         epoch_packets=epoch_packets,
         retain=16,
-        workers=args.workers,
         batch_size=args.batch_size,
     )
     if "hh" in refs:
         service.register_series("heavy_hitters", HeavyHitterQuery(refs["hh"]))
     if "card" in refs:
         service.register_series("cardinality", CardinalityQuery(refs["card"]))
-    return trace, controller, service, refs
+    return trace, service, refs
 
 
 def _iter_chunks(trace, chunk: int):
@@ -1371,17 +1343,11 @@ def cmd_profile(args) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             t0 = time.perf_counter()
-            report = controller.process_trace_sharded(
-                trace,
-                max(1, args.workers),
-                batch_size=args.batch_size,
-            )
-            controller.close_shard_pool()
+            controller.process_trace(trace, batch_size=args.batch_size or 8192)
             wall_ms = (time.perf_counter() - t0) * 1e3
-            backend = report.backend
         else:
             try:
-                trace, _controller, service, _refs = _build_stream_workload(args)
+                trace, service, _refs = _build_stream_workload(args)
             except (ValueError, FileNotFoundError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
@@ -1391,17 +1357,13 @@ def cmd_profile(args) -> int:
             if service._epoch_fill:
                 service.rotate()  # seal the ragged tail window
             wall_ms = (time.perf_counter() - t0) * 1e3
-            report = service.last_shard_report
-            backend = report.backend if report is not None else "batched"
-            _controller.close_shard_pool()
     finally:
         telemetry.disable_recorder()
 
     spans = recorder.spans
     root = telemetry.aggregate_spans(spans)
     print(
-        f"workload={args.workload} packets={len(trace)} "
-        f"workers={args.workers} backend={backend} spans={len(spans)}"
+        f"workload={args.workload} packets={len(trace)} spans={len(spans)}"
     )
     print()
     print(telemetry.format_phase_tree(root, min_pct=args.min_pct))
@@ -1418,7 +1380,6 @@ def cmd_profile(args) -> int:
             meta={
                 "workload": args.workload,
                 "packets": len(trace),
-                "workers": args.workers,
                 "wall_ms": wall_ms,
             },
         )
@@ -1477,27 +1438,6 @@ def _top_frame(args, service, done: int, total: int, elapsed_s: float) -> str:
     if health["reasons"]:
         health_line += "   [" + "; ".join(health["reasons"]) + "]"
     lines.append(health_line)
-    report = service.last_shard_report
-    if report is not None and report.shard_timings:
-        lines.append(
-            f"shards   backend={report.backend} workers={report.workers}"
-            f"   retries={report.retries} timeouts={report.timeouts}"
-        )
-        for timing in report.shard_timings:
-            dispatch = timing["dispatch_ms"] or 0.0
-            busy = (
-                100.0 * timing["compute_ms"] / dispatch if dispatch > 0 else 0.0
-            )
-            bar = "#" * max(0, min(20, int(busy / 5.0)))
-            lines.append(
-                f"  shard {timing['shard']}: busy {busy:5.1f}% [{bar:<20}] "
-                f"compute {timing['compute_ms']:6.2f} ms  "
-                f"build {timing['build_ms']:5.2f} ms  "
-                f"transport {timing['transport_ms']:6.2f} ms"
-                + ("  RETRIED" if timing["retried"] else "")
-            )
-    else:
-        lines.append(f"shards   (single pipeline, workers={stats['workers']})")
     return "\n".join(lines)
 
 
@@ -1507,7 +1447,7 @@ def cmd_top(args) -> int:
     from repro.service import Watcher, fill_factor_metric, resize_action
 
     try:
-        trace, _controller, service, refs = _build_stream_workload(args)
+        trace, service, refs = _build_stream_workload(args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1550,7 +1490,6 @@ def cmd_top(args) -> int:
         f"{stats['epoch']} epochs; datapath time "
         f"{stats['ingest_ms_total'] / 1e3:.2f} s"
     )
-    _controller.close_shard_pool()
     return 0
 
 
@@ -1979,7 +1918,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_list_experiments()
     if args.command == "run":
         return cmd_run(
-            args.experiment, args.full, args.telemetry, args.batch_size, args.workers
+            args.experiment, args.full, args.telemetry, args.batch_size
         )
     if args.command == "stats":
         return cmd_stats(args.experiment, args.input, args.format)

@@ -169,11 +169,6 @@ class Cmu:
         self._sample_hash = HashFunction(0x5A5A ^ (group_id << 8) ^ index)
         #: Data-plane digests: {task_id: set of reported flow keys}.
         self._digests: Dict[int, set] = {}
-        #: Optional :class:`repro.dataplane.sharding.ShardJournal` -- when a
-        #: sharded worker sets it, :meth:`process_batch` records each tracked
-        #: task's post-sampling (rows, index, p1, p2) stream so the merge can
-        #: replay state-dependent operations exactly.
-        self.journal = None
         #: Cached telemetry handle (bound on first use while enabled).
         self._access_counter = None
 
@@ -498,14 +493,6 @@ class Cmu:
         # Preparation: address translation for every slot in one pass.
         base, shift, mask, alarm_at = np.repeat(plan.per_slot, counts, axis=1)
         index = base + ((address >> shift) & mask)
-        if self.journal is not None:
-            for tp in plan.slots:
-                lo, hi = bounds[tp.slot], bounds[tp.slot + 1]
-                key = (self.group_id, self.index, tp.config.task_id)
-                if hi > lo and self.journal.wants(*key):
-                    self.journal.record(
-                        *key, rows[lo:hi], index[lo:hi], p1[lo:hi], p2[lo:hi]
-                    )
         # Operation: one stateful update per operation present; export
         # results and processed p1.
         results = _joined(

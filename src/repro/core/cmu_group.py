@@ -49,9 +49,6 @@ class CmuGroup:
             raise ValueError("num_cmus and compression_units must be positive")
         self.group_id = group_id
         self.candidate_fields = tuple(candidate_fields)
-        #: Kept for replica cloning (sharded execution rebuilds per-worker
-        #: groups with identical hash seeding from these parameters).
-        self.seed_base = seed_base
         self.hash_units = [
             DynamicHashUnit(i, self.candidate_fields, seed=seed_base + (group_id << 10) + i)
             for i in range(compression_units)

@@ -229,10 +229,6 @@ class FlyMonController:
             for cmu in group.cmus
         }
         self._handles: Dict[int, TaskHandle] = {}
-        # Persistent shard worker pool, lazily created by the first sharded
-        # run with workers > 1; it re-syncs its resident replicas, by delta,
-        # before every run.
-        self._shard_pool = None
         # Committed reconfiguration history (add/remove/filter updates, in
         # execution order).  Replaying it on a fresh controller reproduces
         # the exact placement -- groups, CMUs, memory bases -- of the live
@@ -875,22 +871,13 @@ class FlyMonController:
         for group in self.groups:
             group.process_batch(batch)
 
-    def process_trace(
-        self,
-        trace: Trace,
-        batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
-    ) -> None:
+    def process_trace(self, trace: Trace, batch_size: Optional[int] = None) -> None:
         """Replay a trace through the datapath.
 
         ``batch_size=None`` keeps the scalar reference path (one dict per
         packet); an integer streams the trace as column-slice batches of that
-        size through the vectorized engine instead.  ``workers > 1`` routes
-        through :meth:`process_trace_sharded` (which implies batching).
+        size through the vectorized engine instead.
         """
-        if workers is not None and workers > 1:
-            self.process_trace_sharded(trace, workers, batch_size=batch_size)
-            return
         with _RECORDER.span(
             "ctl.trace", cat="dataplane", packets=len(trace),
             batched=batch_size is not None,
@@ -902,70 +889,21 @@ class FlyMonController:
             for fields in trace.iter_fields():
                 self.process_packet(fields)
 
+    # -- frozen-ladder shim ---------------------------------------------
+    # benchmarks/ladder/adapter.py:96-100 lists process_trace_sharded in
+    # TRACE_TARGETS (the traced run resolves and wraps every entry) and
+    # adapter.py:432 calls close_shard_pool().  Both go away with the
+    # ladder's sharded_steady rung in ladder v2 (ROADMAP direction 5);
+    # there is one datapath process, so neither does anything of its own.
+
     def process_trace_sharded(
-        self,
-        trace: Trace,
-        workers: int,
-        batch_size: Optional[int] = None,
-        collect_exports: bool = False,
-        exact_exports: bool = False,
-    ):
-        """Replay a trace through per-worker datapath replicas.
-
-        Row shards run through cloned CMU groups; worker register state is
-        merged back exactly (see :mod:`repro.dataplane.sharding`), so
-        queries, digests, and register reads afterwards match a sequential
-        replay bit for bit.  Returns the
-        :class:`~repro.dataplane.sharding.ShardRunReport`.
-
-        ``workers > 1`` runs the shards on this controller's long-lived
-        worker pool, which stays attached across calls and epochs (see
-        :class:`~repro.dataplane.shard_pool.PersistentShardPool`) until
-        :meth:`close_shard_pool`; a single shard runs in-process.
-        """
-        from repro.dataplane.sharding import run_sharded
-
-        workers = max(1, int(workers))
-        return run_sharded(
-            self.groups,
-            trace,
-            workers,
-            batch_size=batch_size,
-            collect_exports=collect_exports,
-            exact_exports=exact_exports,
-            pool=self.shard_pool(workers) if workers > 1 else None,
-        )
-
-    def shard_pool(self, workers: int):
-        """The controller's persistent shard pool, (re)created on demand.
-
-        An existing pool is replaced when the requested worker count no
-        longer matches.
-        """
-        from repro.dataplane.shard_pool import PersistentShardPool
-
-        pool = self._shard_pool
-        if pool is not None and (pool.closed or pool.workers != workers):
-            pool.close()
-            pool = None
-        if pool is None:
-            pool = self._shard_pool = PersistentShardPool(self.groups, workers)
-        return pool
-
-    def seal_shard_epoch(self, epoch_index: int) -> None:
-        """Epoch-rotation barrier for the attached shard pool (a no-op
-        without a live one): its resident replicas already self-reset after
-        every run, so this only confirms they are zeroed and catches a
-        wedged worker at the epoch boundary."""
-        pool = self._shard_pool
-        if pool is not None and not pool.closed:
-            pool.seal_epoch(epoch_index)
+        self, trace: Trace, workers: int, batch_size: Optional[int] = None
+    ) -> None:
+        """Replay in process through :meth:`process_trace`, batched."""
+        self.process_trace(trace, batch_size=batch_size or 8192)
 
     def close_shard_pool(self) -> None:
-        """Stop the persistent shard pool's workers, if one is attached."""
-        if self._shard_pool is not None:
-            self._shard_pool.close()
-            self._shard_pool = None
+        """No-op: there is no worker pool."""
 
     # ------------------------------------------------------------------
     # Resource management interfaces

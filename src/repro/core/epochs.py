@@ -8,7 +8,7 @@ callback, and reset state for the next window.
 
 The runner is a thin wrapper over the streaming engine
 (:class:`~repro.service.engine.MeasurementService` in manual-rotation mode),
-so epoch processing rides the same batched/sharded fast paths as the
+so epoch processing rides the same batched fast path as the
 long-running service and every rotation produces a queryable
 :class:`~repro.service.engine.SealedEpoch` alongside the collector outputs.
 """
@@ -65,24 +65,21 @@ class EpochRunner:
         trace: Trace,
         num_epochs: int,
         on_epoch_start: Optional[Callable[[int], None]] = None,
-        workers: int = 1,
         batch_size: Optional[int] = None,
     ) -> List[EpochResult]:
         """Process ``trace`` in ``num_epochs`` windows; returns per-epoch
         collector outputs.  ``on_epoch_start`` hooks control-plane actions
         (task inserts/removals/resizes) at epoch boundaries.
 
-        ``workers``/``batch_size`` pick the datapath: ``workers > 1`` shards
-        each window over parallel replicas, ``batch_size`` sets the
-        vectorized engine's chunk size (``0`` forces the scalar reference
-        loop); both are bit-identical to scalar replay.
+        ``batch_size`` sets the vectorized engine's chunk size (``0``
+        forces the scalar reference loop); both are bit-identical to scalar
+        replay.
         """
         from repro.service.engine import MeasurementService
 
         service = MeasurementService(
             self.controller,
             retain=max(1, num_epochs),
-            workers=workers,
             batch_size=batch_size,
         )
         results: List[EpochResult] = []

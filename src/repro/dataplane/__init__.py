@@ -21,8 +21,6 @@ detail FlyMon's claims depend on:
   with the millisecond-scale latency model measured in the paper.
 * :mod:`repro.dataplane.switch` -- a Tofino switch model, including the
   ``switch.p4`` baseline footprint used by Figure 13a.
-* :mod:`repro.dataplane.sharding` -- sharded parallel execution of the
-  batched datapath with exact register-state merging.
 """
 
 from repro.dataplane.hashing import DynamicHashUnit, HashFunction
@@ -31,24 +29,14 @@ from repro.dataplane.pipeline import Pipeline
 from repro.dataplane.register import Register, RegisterAction
 from repro.dataplane.resources import STAGE_CAPACITY, ResourceVector
 from repro.dataplane.runtime import RuntimeApi
-from repro.dataplane.sharding import (
-    GroupReplicaSpec,
-    ShardJournal,
-    ShardRunReport,
-    ShardingError,
-    default_workers,
-    run_sharded,
-    shard_ranges,
-)
 from repro.dataplane.stage import MauStage
-from repro.dataplane.switch import TofinoSwitch, datapath_groups
+from repro.dataplane.switch import TofinoSwitch
 from repro.dataplane.tables import ExactMatchTable, TableEntry, TernaryMatchTable
 
 __all__ = [
     "DynamicHashUnit",
     "ExactMatchTable",
     "FieldSpec",
-    "GroupReplicaSpec",
     "HashFunction",
     "MauStage",
     "Phv",
@@ -59,14 +47,7 @@ __all__ = [
     "ResourceVector",
     "RuntimeApi",
     "STAGE_CAPACITY",
-    "ShardJournal",
-    "ShardRunReport",
-    "ShardingError",
     "TableEntry",
     "TernaryMatchTable",
     "TofinoSwitch",
-    "datapath_groups",
-    "default_workers",
-    "run_sharded",
-    "shard_ranges",
 ]

@@ -112,8 +112,7 @@ class Pipeline:
         """``(stage_index, hook)`` pairs attached without a batched dual.
 
         A non-empty result means :meth:`process_batch` pays the exact-but-slow
-        per-row dict round-trip at those stages; sharded workers require this
-        to be empty (see :mod:`repro.dataplane.sharding`).
+        per-row dict round-trip at those stages.
         """
         return [
             (stage.index, hook)

@@ -371,12 +371,8 @@ class Register:
 
     def snapshot_into(self, out: np.ndarray) -> None:
         """Copy the cells into a caller-provided array of the native dtype
-        or of ``int64`` (what :meth:`snapshot_cells` returns).
-
-        The persistent shard runtime points ``out`` at a shared-memory
-        window so worker register state crosses the process boundary as a
-        single memcpy instead of a pickled array; the service's seal points
-        it at a recycled snapshot array.
+        or of ``int64`` (what :meth:`snapshot_cells` returns).  The
+        service's seal points it at a recycled snapshot array.
         """
         if out.shape != self._cells.shape or out.dtype not in (
             self._cells.dtype,
@@ -389,7 +385,7 @@ class Register:
         out[:] = self._cells
 
     def load_cells(self, cells: np.ndarray) -> None:
-        """Overwrite the full cell array (the merge side of sharded runs)."""
+        """Overwrite the full cell array (the inverse of :meth:`snapshot_cells`)."""
         cells = np.asarray(cells, dtype=np.int64)
         if len(cells) != self.size:
             raise ValueError(

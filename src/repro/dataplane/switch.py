@@ -94,10 +94,6 @@ class TofinoSwitch:
         """Run a :class:`~repro.traffic.batch.PacketBatch` through the pipe."""
         self.pipeline.process_batch(batch)
 
-    def datapath_groups(self) -> list:
-        """The CMU groups placed on this pipeline, in pipeline order."""
-        return datapath_groups(self.pipeline)
-
     def process_trace(self, trace, batch_size=None):
         """Replay a trace through the pipeline."""
         if batch_size is not None:
@@ -107,26 +103,6 @@ class TofinoSwitch:
         for fields in trace.iter_fields():
             self.pipeline.process(fields)
         return None
-
-
-def datapath_groups(pipeline: Pipeline) -> list:
-    """Discover the CMU groups attached to a pipeline's stages.
-
-    Placement attaches each group's ``process``/``process_batch`` bound
-    methods as operation-stage hooks; walking the hook entries in stage
-    order recovers the groups in the order packets traverse them.
-    """
-    from repro.core.cmu_group import CmuGroup
-
-    groups = []
-    seen = set()
-    for stage in pipeline.stages:
-        for hook, _ in stage.hook_entries():
-            owner = getattr(hook, "__self__", None)
-            if isinstance(owner, CmuGroup) and id(owner) not in seen:
-                seen.add(id(owner))
-                groups.append(owner)
-    return groups
 
 
 # ---------------------------------------------------------------------------

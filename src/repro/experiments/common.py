@@ -86,18 +86,6 @@ def default_batch_size() -> Optional[int]:
 DEFAULT_BATCH_SIZE = 8192
 
 
-def default_workers() -> int:
-    """Shard-worker count experiment drivers use, from ``FLYMON_WORKERS``.
-
-    Unset, empty, or invalid keeps the single-pipeline path (1); values
-    above 1 route trace replays through the sharded parallel engine, which
-    merges worker register state exactly (results stay bit-identical).
-    """
-    from repro.dataplane.sharding import default_workers as _default_workers
-
-    return _default_workers()
-
-
 def deploy_and_process(
     task,
     trace: Trace,
@@ -105,7 +93,6 @@ def deploy_and_process(
     register_size: int = None,
     seed_base: int = 0xC0DE,
     batch_size: Optional[int] = "env",
-    workers: Optional[int] = "env",
 ):
     """Fresh controller sized for the task, deploy, run the trace.
 
@@ -115,17 +102,13 @@ def deploy_and_process(
 
     ``batch_size`` defaults to :func:`default_batch_size` (the
     ``FLYMON_BATCH_SIZE`` environment override); pass ``None`` to force the
-    scalar reference path or an integer to fix the batch size.  ``workers``
-    defaults to :func:`default_workers` (``FLYMON_WORKERS``); values above 1
-    shard the replay over parallel datapath replicas.  All paths produce
-    bit-identical register state, digests, and estimates.
+    scalar reference path or an integer to fix the batch size.  Both paths
+    produce bit-identical register state, digests, and estimates.
     """
     from repro.core.controller import FlyMonController
 
     if batch_size == "env":
         batch_size = default_batch_size()
-    if workers == "env":
-        workers = default_workers()
     if register_size is None:
         register_size = 1 << 16
     controller = FlyMonController(
@@ -135,8 +118,7 @@ def deploy_and_process(
         seed_base=seed_base,
     )
     handle = controller.add_task(task)
-    controller.process_trace(trace, batch_size=batch_size, workers=workers)
-    controller.close_shard_pool()  # one replay per controller: keep no workers
+    controller.process_trace(trace, batch_size=batch_size)
     return controller, handle
 
 

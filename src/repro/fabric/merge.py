@@ -18,9 +18,7 @@ Tasks with no such law (chained inter-arrival pipelines, finite-bound
 Cond-ADD towers, counter braids) are placed on exactly one covering switch
 instead; their merge is a straight copy, exact for any operation.
 
-Alarm digests merge by set union.  Unlike shard merging (which must replay
-alarm-armed tasks to reproduce the digest stream), fabric digests are a
-*documented approximation*: a host sees only its own share of a flow's
+Alarm digests merge by set union, a *documented approximation*: a host sees only its own share of a flow's
 traffic, so threshold crossings fire against per-host counts.  The union is
 sandwiched -- every true heavy hitter appears (its full traffic lands on
 one host), and nothing outside the single-switch digest set appears (union
@@ -34,7 +32,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.controller import TaskHandle
-from repro.dataplane.sharding import (
+from repro.core.merge import (
     LAW_MAX,
     LAW_OR,
     LAW_REPLAY,
@@ -55,10 +53,9 @@ def task_merge_laws(handle: TaskHandle) -> Dict[Tuple[int, int], str]:
     Chained rows (inputs fed by upstream CMU exports) are forced to
     ``replay``: their register stream depends on seeing the *whole* packet
     sequence, so only single-host placement is exact.  Everything else
-    takes the shard merge's op-only law even when alarm-armed: shards must
-    replay armed tasks to reproduce the exact digest stream, the fabric
-    merges digests by set union with a documented bound instead, and alarm
-    thresholds do not change how *cells* update.
+    takes the op-only :func:`~repro.core.merge.merge_law` even when
+    alarm-armed: the fabric merges digests by set union with a documented
+    bound, and alarm thresholds do not change how *cells* update.
     """
     laws: Dict[Tuple[int, int], str] = {}
     for row in handle.rows:

@@ -73,7 +73,6 @@ class FabricService:
         epoch_wall_ms: Optional[float] = None,
         retain: int = 8,
         batch_size: Optional[int] = None,
-        workers: int = 1,
         controller_params: Optional[Dict[str, object]] = None,
     ) -> None:
         if epoch_packets is not None and epoch_wall_ms is not None:
@@ -97,7 +96,6 @@ class FabricService:
                 FlyMonController(**params),
                 retain=retain,
                 batch_size=batch_size,
-                workers=workers,
             )
             for name in topology.names
         }
@@ -359,8 +357,6 @@ class FabricService:
             for thread in self._tickers:
                 thread.join()
             self._tickers = []
-        for member in self.members.values():
-            member.controller.close_shard_pool()
         if seal_tail:
             with self._lock:
                 if self._epoch_fill:

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the control plane and shard workers.
+"""Deterministic fault injection for the control plane, WAL and fabric.
 
 FlyMon's headline claim is *safe* on-the-fly reconfiguration: tasks can be
 added, resized, and re-filtered on a live switch without corrupting
@@ -17,11 +17,6 @@ site                  where it fires
                       (surfaces as ``OutOfMemoryError``)
 ``key_denied``        :meth:`repro.core.compression.CompressedKeyManager.
                       acquire` (surfaces as ``KeyExhaustedError``)
-``shard_crash``       shard-worker entry in
-                      :mod:`repro.dataplane.sharding` (raises; with the
-                      ``kill`` argument the worker process hard-exits)
-``shard_timeout``     shard-worker entry (sleeps the configured seconds so
-                      the dispatcher's per-shard timeout trips)
 ``wal_append``        :meth:`repro.service.wal.ServiceWal` record append,
                       before the write (``kill`` SIGKILLs the process,
                       ``torn`` writes half the frame then SIGKILLs)
@@ -31,6 +26,8 @@ site                  where it fires
                       base is written (``kill``/``torn`` as ``wal_append``)
 ``disk_full``         the WAL's record write (surfaces as ``OSError``
                       with ``ENOSPC``)
+``member_seal``       a fabric member's seal at the barrier (the member is
+                      marked degraded for that epoch)
 ====================  =====================================================
 
 Arms come from code (``FAULTS.arm(...)``) or from the ``FLYMON_FAULTS``
@@ -38,16 +35,15 @@ environment variable, a comma/semicolon-separated spec:
 
 * ``site`` -- fire on the site's first hit;
 * ``site@N`` -- fire on the Nth hit (1-based), then disarm (one-shot);
-* ``site@N=ARG`` -- same, carrying an argument (e.g. ``shard_timeout@1=0.2``
-  sleeps 0.2 s; ``shard_crash@1=kill`` hard-exits the worker process);
+* ``site@N=ARG`` -- same, carrying an argument (e.g. ``wal_append@3=kill``
+  SIGKILLs the process at the third append);
 * ``site%P`` -- fire each hit with probability ``P`` (persistent, drawn
   from the injector's seeded RNG);
 * ``seed=N`` / ``name=value`` -- free-form options (``seed`` seeds the RNG;
   the robustness test schedules read ``seed``/``rounds``).
 
 Deterministic arms are **one-shot**: once fired they disarm in that
-process, so a bounded-retry path (e.g. a shard re-dispatched after a crash)
-succeeds on the next attempt.  Probabilistic arms persist.
+process, so a retried operation succeeds on the next attempt.  Probabilistic arms persist.
 
 Injection is off unless a site is armed; the per-hit cost is one dict
 lookup on control-plane paths only (never in the per-packet datapath).
@@ -63,8 +59,6 @@ from typing import Dict, List, Optional, Tuple
 SITE_RULE_APPLY = "rule_apply"
 SITE_ALLOC_EXHAUSTED = "alloc_exhausted"
 SITE_KEY_DENIED = "key_denied"
-SITE_SHARD_CRASH = "shard_crash"
-SITE_SHARD_TIMEOUT = "shard_timeout"
 SITE_WAL_APPEND = "wal_append"
 SITE_WAL_FSYNC = "wal_fsync"
 SITE_WAL_ROLL = "wal_roll"
@@ -75,8 +69,6 @@ FAULT_SITES = (
     SITE_RULE_APPLY,
     SITE_ALLOC_EXHAUSTED,
     SITE_KEY_DENIED,
-    SITE_SHARD_CRASH,
-    SITE_SHARD_TIMEOUT,
     SITE_WAL_APPEND,
     SITE_WAL_FSYNC,
     SITE_WAL_ROLL,
@@ -313,8 +305,8 @@ class FaultInjector:
 
 
 #: The process-wide injector; instrumented modules consult this instance.
-#: Armed from ``FLYMON_FAULTS`` at import so spawned shard workers (which
-#: re-import) inherit the same schedule as forked ones.
+#: Armed from ``FLYMON_FAULTS`` at import, so a subprocess inherits the
+#: schedule through its environment.
 FAULTS = FaultInjector(os.environ.get(ENV_VAR) or None)
 
 

@@ -95,7 +95,6 @@ def service_checkpoint(service: MeasurementService) -> Dict[str, object]:
             "epoch_duration_us": service.epoch_duration_us,
             "epoch_wall_ms": service.epoch_wall_ms,
             "retain": service.retain,
-            "workers": service.workers,
         },
         "tasks": [
             {

@@ -11,12 +11,11 @@ next window starts fresh.  Sealed epochs live in a bounded ring
 (``retain``), so long-running services hold a sliding time series of the
 last N windows without unbounded growth.
 
-Ingestion rides the vectorized fast paths: chunks go through
-``controller.process_trace(batch_size=...)`` (the batched engine) or
-``process_trace_sharded`` when ``workers > 1`` -- never the scalar
-per-packet loop (``batch_size=0`` forces it, for differential tests only).
-Both paths are bit-identical to scalar replay, so sealed state matches a
-one-shot run of the same window exactly.
+Ingestion rides the vectorized fast path: chunks go through
+``controller.process_trace(batch_size=...)`` (the batched engine) -- never
+the scalar per-packet loop (``batch_size=0`` forces it, for differential
+tests only).  The batched engine is bit-identical to scalar replay, so
+sealed state matches a one-shot run of the same window exactly.
 """
 
 from __future__ import annotations
@@ -308,10 +307,8 @@ class MeasurementService:
       background thread that seals every N wall-clock milliseconds while
       ingestion continues on the caller's thread(s).
 
-    ``retain`` bounds the sealed-epoch ring; ``workers``/``batch_size``
-    select the datapath fast path for every ingested chunk (``workers > 1``
-    shards chunks over parallel pipeline replicas with exact register
-    merging, so sealed state stays bit-identical to a sequential run).
+    ``retain`` bounds the sealed-epoch ring; ``batch_size`` sets the
+    batched engine's chunk size for every ingested chunk.
 
     Concurrency model: ingestion and sealing serialize on an internal lock
     (held per processing window, so the wall-clock sealer interleaves at
@@ -360,21 +357,26 @@ class MeasurementService:
             raise ValueError("max_stall_ms must be positive")
         if sealer_restart_budget < 0:
             raise ValueError("sealer_restart_budget must be >= 0")
-        # ``runtime`` selects nothing and is read nowhere: there is one
-        # sharded runtime.  The keyword stays because the frozen benchmark
-        # adapter (benchmarks/ladder/adapter.py) passes runtime="persistent".
+        # -- frozen-ladder shim: benchmarks/ladder/adapter.py:358-359 passes
+        # MeasurementService(workers=spec.workers, runtime=...) and
+        # adapter.py:372 reads last_shard_report.  ``workers`` and
+        # ``runtime`` are checked, then ignored (there is one datapath
+        # process), and ``last_shard_report`` is always None.  All three go
+        # away with the ladder's sharded_steady rung in ladder v2 (ROADMAP
+        # direction 5).
+        if not isinstance(workers, int) or workers < 1:
+            raise ValueError(f"workers must be an int >= 1 (got {workers!r})")
         if runtime not in (None, "persistent"):
             raise ValueError(
-                f"unknown shard runtime {runtime!r}: the resident worker "
-                "pool ('persistent') is the only one"
+                f"unknown runtime {runtime!r}: only None or 'persistent'"
             )
+        self.last_shard_report = None
         self.controller = controller
         self.epoch_packets = epoch_packets
         self.epoch_duration_us = epoch_duration_us
         self.epoch_wall_ms = epoch_wall_ms
         self.retain = retain
         self.batch_size = batch_size
-        self.workers = max(1, int(workers))
         self.watchers: List[object] = []
         self.watcher_log: List[object] = []
         self._series: Dict[str, object] = {}
@@ -411,8 +413,6 @@ class MeasurementService:
         # epoch seals are appended as WAL records inside the seal critical
         # section, after watchers ran.
         self._wal = None
-        #: Report of the most recent sharded window (``workers > 1`` only).
-        self.last_shard_report = None
         #: Cumulative wall spent inside datapath processing, milliseconds.
         self.ingest_ms_total = 0.0
 
@@ -638,7 +638,6 @@ class MeasurementService:
             "retained": [s.index for s in self._ring],
             "watchers": len(self.watchers),
             "series": sorted(self._series),
-            "workers": self.workers,
             "epoch_packets": self.epoch_packets,
             "epoch_duration_us": self.epoch_duration_us,
             "epoch_wall_ms": self.epoch_wall_ms,
@@ -674,8 +673,7 @@ class MeasurementService:
 
         ``degraded`` means the service is still measuring and answering
         queries but something needs attention (WAL detached and retrying,
-        windows shed under overload, a sealer restart, a degraded shard
-        pool); ``failing`` means durability or liveness is actually broken
+        windows shed under overload, a sealer restart); ``failing`` means durability or liveness is actually broken
         (WAL permanently failed or sealed epochs lost, sealer dead past
         its restart budget).
         """
@@ -718,10 +716,6 @@ class MeasurementService:
                 f"shed {self.dropped_windows} window(s) "
                 f"({self.dropped_packets} packets) under overload",
             )
-        report = self.last_shard_report
-        degraded_reason = getattr(report, "degraded", None)
-        if degraded_reason:
-            note(1, f"shard pool degraded: {degraded_reason}")
         return {
             "status": ("ok", "degraded", "failing")[rank],
             "reasons": reasons,
@@ -864,13 +858,6 @@ class MeasurementService:
             return
         t0 = time.perf_counter()
         try:
-            if self.workers > 1:
-                self.last_shard_report = self.controller.process_trace_sharded(
-                    window,
-                    self.workers,
-                    batch_size=self._effective_batch(),
-                )
-                return
             if self.batch_size == 0:
                 # Scalar reference path: differential tests only.
                 self.controller.process_trace(window)
@@ -901,16 +888,9 @@ class MeasurementService:
             with _RECORDER.span("rotate.snapshot", cat="service"):
                 handles = self.controller.tasks
                 registers = self._hosting_rows(handles)
-                # Not under a shard pool: its resident workers are forks, so
-                # a page parked before the fork is copied on its next write.
-                recycle = self.workers == 1
                 cells: Dict[Tuple[int, int], np.ndarray] = {}
                 for key, register in registers.items():
-                    cells[key] = (
-                        _SNAPSHOTS.take(register.size)
-                        if recycle
-                        else np.empty(register.size, dtype=np.int64)
-                    )
+                    cells[key] = _SNAPSHOTS.take(register.size)
                     register.snapshot_into(cells[key])
             with _RECORDER.span("rotate.digests", cat="service"):
                 digest_sets: Dict[Tuple[int, int, int], set] = {}
@@ -931,7 +911,7 @@ class MeasurementService:
                 task_ids=[handle.task_id for handle in handles],
                 digest_sets=digest_sets,
             )
-            sealed._pooled = recycle
+            sealed._pooled = True
             self._ring.append(sealed)
 
             # Capture the WAL's per-task payload before watchers can
@@ -956,14 +936,6 @@ class MeasurementService:
                 self._evaluate_series(sealed)
             with _RECORDER.span("rotate.watchers", cat="service"):
                 self._evaluate_watchers(sealed)
-
-            # The shard pool's resident replicas already self-reset after
-            # every run, so sealing an epoch in place is a broadcast no-op
-            # that only bumps the workers' seal counters (and scrubs any
-            # straggler state).
-            if self.workers > 1:
-                with _RECORDER.span("rotate.pool", cat="service"):
-                    self.controller.seal_shard_epoch(self._epoch_index)
 
             sealed.seal_ms = (time.perf_counter() - t0) * 1e3
 

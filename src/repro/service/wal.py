@@ -393,7 +393,6 @@ class ServiceWal:
                 "epoch_duration_us": service.epoch_duration_us,
                 "epoch_wall_ms": service.epoch_wall_ms,
                 "retain": service.retain,
-                "workers": service.workers,
             },
             "series": sorted(service._series),
         }

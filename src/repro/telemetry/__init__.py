@@ -37,7 +37,6 @@ from repro.telemetry.events import (  # noqa: F401  (re-exported taxonomy)
     EV_RULES_INSTALL,
     EV_RULES_REMOVE,
     EV_SEALER_RESTARTED,
-    EV_SHARD_RETRY,
     EV_TASK_ADD,
     EV_TASK_FILTER_UPDATE,
     EV_TASK_REMOVE,

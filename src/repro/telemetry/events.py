@@ -31,7 +31,6 @@ EV_MEM_SPLIT = "mem_split"
 EV_RULES_INSTALL = "rules_install"
 EV_RULES_REMOVE = "rules_remove"
 EV_TXN_ROLLBACK = "txn_rollback"
-EV_SHARD_RETRY = "shard_retry"
 EV_FAULT_INJECTED = "fault_injected"
 EV_CHECKPOINT = "checkpoint"
 EV_RESTORE = "restore"
@@ -60,7 +59,6 @@ EVENT_TYPES = frozenset(
         EV_RULES_INSTALL,
         EV_RULES_REMOVE,
         EV_TXN_ROLLBACK,
-        EV_SHARD_RETRY,
         EV_FAULT_INJECTED,
         EV_CHECKPOINT,
         EV_RESTORE,

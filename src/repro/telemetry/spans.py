@@ -3,7 +3,7 @@
 Where :mod:`repro.telemetry.tracing` answers *"how long does one sampled
 packet take?"* with per-packet histograms, the flight recorder answers
 *"where did this run's time go?"*: every coarse-grained phase of the runtime
--- a trace replay, a shard dispatch, an epoch seal, a control-plane
+-- a trace replay, an epoch seal, a fabric barrier, a control-plane
 transaction -- opens a :meth:`FlightRecorder.span` and lands in a bounded
 in-memory ring as a :class:`SpanRecord` carrying its parent span id, wall
 and CPU durations, and free-form attributes.  Spans are recorded
@@ -23,28 +23,11 @@ Three consumers sit on top of the ring:
   events, ``ph: "X"``) loadable in Perfetto / ``chrome://tracing``;
 * :meth:`FlightRecorder.to_dicts` is the plain-JSON form for artifacts.
 
-Work measured *outside* the recorder's process or call stack (shard workers
-time themselves with raw ``perf_counter`` and ship floats back) is grafted
-in after the fact with :meth:`FlightRecorder.add`, which accepts an explicit
-parent id and start timestamp so synthetic spans nest correctly in both the
-tree and the Chrome timeline.
-
-Sharded-datapath phases:
-
-* ``shard.dispatch`` wraps the fan-out; per-shard ``shard.worker`` spans
-  (with nested ``shard.build`` / ``shard.compute`` / ``shard.transport``)
-  are grafted in from worker-reported floats.
-* ``shard.transport`` is *data movement only*: the shared-memory copy in
-  (parent side) plus the register snapshot-into-shm out (worker side); it
-  is absent in-process, where nothing moves.  ``shard.build`` is the
-  replica construction cost -- paid once per pool lifetime, so it collapses
-  to ~0 on warm runs (the in-process loop pays it on every run).
-* ``shard.sync`` times shipping control-plane deltas (installed/removed
-  rules, filter updates) to the resident workers before a run;
-  ``shard.shm`` times each bounded input-window copy round inside the
-  dispatch.  Neither exists in-process.
-* ``rotate.pool`` (under ``service.rotate``, ``workers > 1``) times the
-  in-place epoch seal broadcast to the resident workers.
+Work measured *outside* the recorder's call stack (timed with raw
+``perf_counter`` reads) is grafted in after the fact with
+:meth:`FlightRecorder.add`, which accepts an explicit parent id and start
+timestamp so synthetic spans nest correctly in both the tree and the Chrome
+timeline.
 """
 
 from __future__ import annotations
@@ -197,8 +180,8 @@ class FlightRecorder:
     Disabled by default; :meth:`span` then returns the shared
     :data:`NULL_SPAN` after one attribute check.  Enabled, each span costs
     two ``perf_counter`` + two ``process_time`` reads and one deque append
-    -- affordable because instrumented sites are coarse (per run / shard /
-    epoch / transaction, never per packet).
+    -- affordable because instrumented sites are coarse (per run / epoch /
+    transaction, never per packet).
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -271,8 +254,8 @@ class FlightRecorder:
     ) -> Optional[int]:
         """Graft an externally measured duration into the ring.
 
-        For work timed outside this recorder's call stack (shard workers in
-        other processes, post-hoc attribution).  ``parent_id`` defaults to
+        For work timed outside this recorder's call stack (post-hoc
+        attribution).  ``parent_id`` defaults to
         the caller's currently open span; pass an explicit id (e.g. a
         ``_Span.span_id`` captured earlier) or ``None`` for a root.
         ``start_us`` positions the span on the Chrome timeline; it defaults

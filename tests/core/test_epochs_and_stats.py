@@ -93,13 +93,14 @@ class TestEpochRunner:
             rows = [values.tolist() for values in r.sealed.read_rows(handle)]
             assert sum(sum(row) for row in rows) == 3 * r.packets
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_fast_paths_match_scalar_runs(self, workers):
-        """Regression: epoch runs ride the batched/sharded engines and stay
-        bit-identical to the scalar reference path."""
+    @pytest.mark.parametrize("divisor", [1, 2])
+    def test_fast_paths_match_scalar_runs(self, divisor):
+        """Regression: epoch runs ride the batched engine (at 512- and
+        256-packet batches) and stay bit-identical to the scalar reference
+        path."""
         trace = zipf_trace(num_flows=300, num_packets=3000, seed=7)
 
-        def run(workers, batch_size):
+        def run(batch_size):
             controller = FlyMonController(num_groups=1)
             runner = EpochRunner(controller)
             handle = runner.track(controller.add_task(freq_task()))
@@ -112,12 +113,12 @@ class TestEpochRunner:
             return [
                 r.outputs["rows"]
                 for r in runner.run(
-                    trace, num_epochs=4, workers=workers, batch_size=batch_size
+                    trace, num_epochs=4, batch_size=batch_size
                 )
             ]
 
-        scalar = run(workers=1, batch_size=0)
-        fast = run(workers=workers, batch_size=512)
+        scalar = run(batch_size=0)
+        fast = run(batch_size=512 // divisor)
         assert fast == scalar
 
 

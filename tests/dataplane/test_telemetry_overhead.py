@@ -67,7 +67,7 @@ def test_disabled_overhead_under_five_percent():
 def test_recorder_off_overhead_under_one_percent():
     """The flight recorder must be invisible on the Fig. 14a batched path.
 
-    Instrumented sites are coarse (per trace run / shard / epoch), so the
+    Instrumented sites are coarse (per trace run / epoch), so the
     disabled cost is ``spans_per_run`` attribute checks.  Rather than trying
     to resolve a sub-0.1% wall-time delta out of scheduler noise, measure
     both factors directly: count how many recorder calls one batched trace

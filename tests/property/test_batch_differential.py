@@ -189,6 +189,55 @@ def test_single_hot_flow_duplicate_collisions():
     assert batched_handles[0].algorithm.query((hot,)) == 2000
 
 
+@pytest.mark.parametrize("batches", [2, 4])
+def test_hot_flow_under_sum_and_max_tasks(batches):
+    """One flow carries two thirds of the packets through a Cond-ADD and a
+    MAX task at once: both laws' read-modify-write chains on its buckets
+    must serialize exactly, beside cold flows that collide with them, and
+    carry across every batch boundary when the trace is cut in ``batches``."""
+    rng = np.random.default_rng(99)
+    tasks = [
+        MeasurementTask(
+            key=KEY_SRC_IP,
+            attribute=AttributeSpec.frequency(),
+            memory=128,
+            depth=3,
+            algorithm="cms",
+            threshold=100,
+        ),
+        MeasurementTask(
+            key=KEY_SRC_IP,
+            attribute=AttributeSpec.maximum("queue_length"),
+            memory=128,
+            depth=2,
+            algorithm="sumax_max",
+        ),
+    ]
+    hot = int(rng.integers(0, 1 << 32))
+    cold = rng.integers(0, 1 << 32, size=64, dtype=np.uint64)
+    packets = [
+        Packet(
+            src_ip=hot if i % 3 else int(cold[i % 64]),
+            dst_ip=1,
+            src_port=2,
+            dst_port=3,
+            timestamp=i,
+            queue_length=int(rng.integers(0, 1 << 12)),
+        )
+        for i in range(1999)
+    ]
+    trace = Trace.from_packets(packets)
+
+    scalar, scalar_handles = _deploy(tasks, "tcam")
+    batched, batched_handles = _deploy(tasks, "tcam")
+    scalar.process_trace(trace, batch_size=None)
+    batched.process_trace(trace, batch_size=-(-len(packets) // batches))
+
+    _assert_identical(scalar, batched, scalar_handles, batched_handles)
+    hot_count = sum(1 for i in range(1999) if i % 3)
+    assert batched_handles[0].algorithm.query((hot,)) == hot_count
+
+
 @pytest.mark.parametrize("key", [KEY_SRC_IP, KEY_5TUPLE], ids=["1-part", "5-part"])
 def test_alarm_digest_sets_match_when_alarm_rows_repeat_flows(key):
     """Five heavy flows send most of the packets and cross the threshold

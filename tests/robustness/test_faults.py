@@ -9,9 +9,9 @@ from repro.faults import (
     FaultSpecError,
     SITE_ALLOC_EXHAUSTED,
     SITE_KEY_DENIED,
+    SITE_DISK_FULL,
     SITE_RULE_APPLY,
-    SITE_SHARD_CRASH,
-    SITE_SHARD_TIMEOUT,
+    SITE_WAL_APPEND,
     parse_spec,
 )
 
@@ -26,8 +26,8 @@ class TestParseSpec:
         assert not options
 
     def test_hit_index_and_arg(self):
-        arms, _ = parse_spec("shard_crash@2=kill")
-        assert arms[0].site == SITE_SHARD_CRASH
+        arms, _ = parse_spec("wal_append@2=kill")
+        assert arms[0].site == SITE_WAL_APPEND
         assert arms[0].hit == 2
         assert arms[0].arg == "kill"
 
@@ -81,8 +81,8 @@ class TestFaultInjector:
 
     def test_trip_returns_arg(self):
         inj = FaultInjector()
-        inj.arm(SITE_SHARD_TIMEOUT, hit=1, arg="0.2")
-        assert inj.trip(SITE_SHARD_TIMEOUT) == "0.2"
+        inj.arm(SITE_DISK_FULL, hit=1, arg="0.2")
+        assert inj.trip(SITE_DISK_FULL) == "0.2"
 
     def test_fire_raises_fault_error_with_context(self):
         inj = FaultInjector()

@@ -41,7 +41,6 @@ class TestProfile:
                 "--packets", "4000",
                 "--flows", "300",
                 "--seed", "3",
-                "--workers", "2",
                 "--trace-out", str(trace_path),
                 "--json", str(spans_path),
             ]
@@ -49,14 +48,14 @@ class TestProfile:
         out = capsys.readouterr().out
         assert rc == 0
         assert "workload=batch" in out
-        assert "shard.run" in out
+        assert "ctl.trace" in out
 
         chrome = json.loads(trace_path.read_text())
         assert chrome["displayTimeUnit"] == "ms"
         assert chrome["otherData"]["workload"] == "batch"
         events = chrome["traceEvents"]
         assert events and all(e["ph"] == "X" for e in events)
-        assert {"shard.run", "shard.dispatch"} <= {e["name"] for e in events}
+        assert "ctl.trace" in {e["name"] for e in events}
 
         payload = json.loads(spans_path.read_text())
         assert payload["wall_ms"] > 0
@@ -78,7 +77,6 @@ class TestTop:
                 "--seed", "4",
                 "--epoch-size", "800",
                 "--chunk", "1000",
-                "--workers", "2",
                 "--no-clear",
             ]
         )
@@ -89,8 +87,7 @@ class TestTop:
         assert "rate" in out and "kpps" in out
         assert "sealed" in out
         assert "watchers" in out
-        # Sharded ingest surfaces per-shard utilization bars.
-        assert "shard 0: busy" in out
+        assert "health" in out
         assert "served " in out and " packets across " in out
 
     def test_watch_fill_requires_hh_task(self, capsys):

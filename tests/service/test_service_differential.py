@@ -1,7 +1,7 @@
 """Streaming vs one-shot differential: every sealed epoch must be
 bit-identical to an independent replay of just that window on a fresh
-controller -- across >= 20 epochs and on both the batched and sharded
-ingestion paths."""
+controller -- across >= 20 epochs, however the trace is chunked and
+batched on its way in."""
 
 import pytest
 
@@ -36,8 +36,8 @@ def window(trace, start, count):
     )
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sealed_epochs_match_one_shot_replays(workers):
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_sealed_epochs_match_one_shot_replays(chunks):
     trace = zipf_trace(num_flows=500, num_packets=8000, seed=61)
     epoch_packets = len(trace) // NUM_EPOCHS
 
@@ -47,9 +47,11 @@ def test_sealed_epochs_match_one_shot_replays(workers):
         controller,
         epoch_packets=epoch_packets,
         retain=NUM_EPOCHS + 2,
-        workers=workers,
     )
-    sealed = service.ingest(trace)
+    sealed = []
+    cut = -(-len(trace) // chunks)
+    for start in range(0, len(trace), cut):
+        sealed += service.ingest(window(trace, start, cut))
     assert len(sealed) >= 20
 
     probe_flows = sorted(trace.flow_sizes(handles[0].task.key))[:8]
@@ -80,17 +82,19 @@ def test_sealed_epochs_match_one_shot_replays(workers):
 
 
 def test_worker_counts_agree_epoch_by_epoch():
+    """Batch sizes that cut every epoch differently seal the same state.
+    (The name predates the removal of the sharded runtime.)"""
     trace = zipf_trace(num_flows=400, num_packets=6000, seed=62)
     epoch_packets = len(trace) // NUM_EPOCHS
 
-    def run(workers):
+    def run(batch_size):
         controller = FlyMonController(num_groups=3)
         handles = deploy(controller)
         service = MeasurementService(
             controller,
             epoch_packets=epoch_packets,
             retain=NUM_EPOCHS + 2,
-            workers=workers,
+            batch_size=batch_size,
         )
         sealed = service.ingest(trace)
         return [
@@ -98,4 +102,4 @@ def test_worker_counts_agree_epoch_by_epoch():
             for s in sealed
         ]
 
-    assert run(1) == run(2)
+    assert run(8192) == run(97)

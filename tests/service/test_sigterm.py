@@ -2,8 +2,7 @@
 
 A supervisor's SIGTERM must not tear the service down mid-window.  The
 serve loop installs a handler that stops ingesting, seals the open
-window, flushes/reattaches the WAL, and closes the shard pool -- then
-exits 0.  The on-disk WAL must recover cleanly afterwards.
+window, and flushes/reattaches the WAL -- then exits 0.  The on-disk WAL must recover cleanly afterwards.
 """
 
 import os

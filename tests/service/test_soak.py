@@ -2,7 +2,7 @@
 behaviour is deterministic run-to-run.
 
 The quick variant always runs; set ``FLYMON_SOAK=1`` for the full
-~200k-packet, 24-epoch, 2-worker soak used by CI's soak leg.
+~200k-packet, 24-epoch soak used by CI's soak leg.
 """
 
 import dataclasses
@@ -29,7 +29,7 @@ from service_tasks import freq_task, hll_task
 FULL_SOAK = os.environ.get("FLYMON_SOAK") == "1"
 
 
-def run_soak(num_packets, workers, chunk=4096, epochs=24):
+def run_soak(num_packets, chunk=4096, epochs=24):
     trace = zipf_trace(
         num_flows=max(200, num_packets // 100),
         num_packets=num_packets,
@@ -42,7 +42,6 @@ def run_soak(num_packets, workers, chunk=4096, epochs=24):
         controller,
         epoch_packets=len(trace) // epochs,
         retain=8,
-        workers=workers,
     )
     service.register_series("card", CardinalityQuery(hll))
     service.add_watcher(
@@ -71,8 +70,8 @@ def run_soak(num_packets, workers, chunk=4096, epochs=24):
     return trace, controller, service, (cms, hll)
 
 
-def check_soak(num_packets, workers):
-    trace, controller, service, (cms, hll) = run_soak(num_packets, workers)
+def check_soak(num_packets):
+    trace, controller, service, (cms, hll) = run_soak(num_packets)
     stats = service.stats()
     assert stats["epoch"] >= 20
     assert stats["packets_total"] == len(trace)
@@ -86,7 +85,7 @@ def check_soak(num_packets, workers):
 
     # Watcher determinism: an identical second run fires the same watchers
     # at the same epochs with the same metric values.
-    _, _, service2, _ = run_soak(num_packets, workers)
+    _, _, service2, _ = run_soak(num_packets)
     log1 = [dataclasses.asdict(e) for e in service.watcher_log]
     log2 = [dataclasses.asdict(e) for e in service2.watcher_log]
     assert log1 == log2
@@ -95,9 +94,9 @@ def check_soak(num_packets, workers):
 
 
 def test_soak_quick():
-    check_soak(num_packets=30_000, workers=2)
+    check_soak(num_packets=30_000)
 
 
 @pytest.mark.skipif(not FULL_SOAK, reason="set FLYMON_SOAK=1 for the full soak")
 def test_soak_full():
-    check_soak(num_packets=200_000, workers=2)
+    check_soak(num_packets=200_000)

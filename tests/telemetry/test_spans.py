@@ -136,25 +136,25 @@ class TestRecording:
 class TestAdd:
     def test_add_defaults_to_current_parent_and_ending_now(self, recorder):
         with recorder.span("outer") as outer:
-            span_id = recorder.add("grafted", 5.0, shard=2)
+            span_id = recorder.add("grafted", 5.0, stage=2)
         grafted = next(s for s in recorder.spans if s.name == "grafted")
         assert grafted.span_id == span_id
         assert grafted.parent_id == outer.span_id
         assert grafted.wall_ms == 5.0
-        assert grafted.attrs == {"shard": 2}
+        assert grafted.attrs == {"stage": 2}
         # ends "now": start is wall_ms before the clock reading.
         assert grafted.start_us <= recorder.now_us() - 4_900
 
     def test_add_with_explicit_parent_and_start(self, recorder):
-        with recorder.span("dispatch") as sp:
-            dispatch_id = sp.span_id
+        with recorder.span("replay") as sp:
+            replay_id = sp.span_id
         pc = time.perf_counter()
         start = recorder.rel_us(pc)
         span_id = recorder.add(
-            "worker", 3.0, parent_id=dispatch_id, start_us=start
+            "external", 3.0, parent_id=replay_id, start_us=start
         )
         grafted = next(s for s in recorder.spans if s.span_id == span_id)
-        assert grafted.parent_id == dispatch_id
+        assert grafted.parent_id == replay_id
         assert grafted.start_us == pytest.approx(start)
 
     def test_add_root_span(self, recorder):
