@@ -369,21 +369,6 @@ class Register:
         """Copy of the full cell array as ``int64`` (mergeable snapshot)."""
         return self._cells.astype(np.int64)
 
-    def snapshot_into(self, out: np.ndarray) -> None:
-        """Copy the cells into a caller-provided array of the native dtype
-        or of ``int64`` (what :meth:`snapshot_cells` returns).  The
-        service's seal points it at a recycled snapshot array.
-        """
-        if out.shape != self._cells.shape or out.dtype not in (
-            self._cells.dtype,
-            np.int64,
-        ):
-            raise ValueError(
-                f"snapshot view is {out.dtype}[{out.shape}], register holds "
-                f"{self._cells.dtype}[{self._cells.shape}]"
-            )
-        out[:] = self._cells
-
     def load_cells(self, cells: np.ndarray) -> None:
         """Overwrite the full cell array (the inverse of :meth:`snapshot_cells`)."""
         cells = np.asarray(cells, dtype=np.int64)

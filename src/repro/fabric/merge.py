@@ -3,8 +3,8 @@
 The fabric installs every task at *pinned* coordinates (same groups, hash
 units, CMUs, memory bases, task id) on each of its hosts, so a task's row
 occupies the identical register range on every switch that hosts it.
-Hosts' traffic domains are disjoint, which makes register merging a pure
-per-law fold over the hosts' sealed cells:
+Hosts' traffic domains are disjoint, which makes merging a pure per-law
+fold over the hosts' sealed partitions, one row-sized array at a time:
 
 * ``sum``  -- Cond-ADD counters: element-wise modular sum,
 * ``max``  -- HLL / SuMax registers: element-wise maximum,
@@ -16,7 +16,8 @@ observing the hosts' combined traffic would have computed -- so the merged
 fabric epoch is *bit-identical* to the single-switch union reference.
 Tasks with no such law (chained inter-arrival pipelines, finite-bound
 Cond-ADD towers, counter braids) are placed on exactly one covering switch
-instead; their merge is a straight copy, exact for any operation.
+instead; their merge takes that host's partition as is, exact for any
+operation.
 
 Alarm digests merge by set union, a *documented approximation*: a host sees only its own share of a flow's
 traffic, so threshold crossings fire against per-host counts.  The union is
@@ -41,7 +42,7 @@ from repro.core.merge import (
     is_chained,
     merge_law,
 )
-from repro.service.engine import SealedEpoch
+from repro.service.engine import SealedEpoch, row_key
 
 #: Laws a task may carry and still be hosted on multiple switches.
 MERGEABLE_LAWS = frozenset({LAW_SUM, LAW_MAX, LAW_OR, LAW_XOR})
@@ -107,7 +108,7 @@ def merge_member_epochs(
     and reads the merged cells -- the existing typed query plane needs no
     changes.
     """
-    cells: Dict[Tuple[int, int], np.ndarray] = {}
+    cells: Dict[Tuple[int, int, int], np.ndarray] = {}
     digest_sets: Dict[Tuple[int, int, int], set] = {}
     task_ids: List[int] = []
     start_ts: Optional[int] = None
@@ -130,32 +131,26 @@ def merge_member_epochs(
             continue  # a host is degraded: exclude the task this epoch
         task_ids.append(handle.task_id)
         for row in handle.rows:
-            key = (row.group.group_id, row.cmu.index)
-            mem = row.mem
-            law = placement.laws[key]
-            if key not in cells:
-                cells[key] = np.zeros_like(sealed[0]._cells[key])
-            out = cells[key]
-            merged = None
-            for epoch in sealed:
-                part = epoch._cells[key][mem.base : mem.base + mem.length]
-                if merged is None:
-                    merged = part.copy()
-                elif law in MERGEABLE_LAWS:
-                    merged = _fold(law, merged, part, row.cmu.register.value_mask)
-                else:
-                    raise ValueError(
-                        f"task {handle.task_id}: law {law!r} hosted on "
-                        f"{len(sealed)} switches (single host required)"
-                    )
-            if merged is not None:
-                out[mem.base : mem.base + mem.length] = merged
-            dkey = (key[0], key[1], handle.task_id)
+            key = row_key(row)
+            law = placement.laws[key[:2]]
+            if len(sealed) > 1 and law not in MERGEABLE_LAWS:
+                raise ValueError(
+                    f"task {handle.task_id}: law {law!r} hosted on "
+                    f"{len(sealed)} switches (single host required)"
+                )
+            # Sealed arrays are never written, and every fold returns a new
+            # one, so a sole host's partition is shared rather than copied.
+            merged = sealed[0]._cells[key]
+            for epoch in sealed[1:]:
+                merged = _fold(
+                    law, merged, epoch._cells[key], row.cmu.register.value_mask
+                )
+            cells[key] = merged
             union: set = set()
             for epoch in sealed:
-                union |= epoch.digest_sets.get(dkey, set())
+                union |= epoch.digest_sets.get(key, set())
             if union:
-                digest_sets[dkey] = digest_sets.get(dkey, set()) | union
+                digest_sets[key] = union
 
     return SealedEpoch(
         index=index,
@@ -163,7 +158,6 @@ def merge_member_epochs(
         start_ts=start_ts,
         end_ts=end_ts,
         cells=cells,
-        registers={},
         task_ids=task_ids,
         digest_sets=digest_sets,
     )

@@ -7,8 +7,9 @@ stream-monitoring abstraction):
 * :mod:`repro.service.engine` -- :class:`MeasurementService` ingests packet
   chunks indefinitely, rotates measurement epochs on packet-count,
   packet-time, or wall-clock boundaries, and seals each epoch into an
-  immutable :class:`SealedEpoch` register snapshot before resetting, so
-  any number of threads query sealed state while the next epoch ingests;
+  immutable :class:`SealedEpoch` -- one array per deployed row, holding
+  that row's register partition -- before resetting, so any number of
+  threads query sealed state while the next epoch ingests;
 * :mod:`repro.service.queries` -- typed queries (heavy hitters, frequency
   point lookup, cardinality, entropy, existence, inter-arrival) resolved
   against a sealed epoch or the live window;

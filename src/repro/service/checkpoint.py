@@ -23,7 +23,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.controller import FlyMonController, TaskHandle
-from repro.service.engine import MeasurementService, SealedEpoch, StaleEpochError
+from repro.service.engine import (
+    MeasurementService,
+    SealedEpoch,
+    StaleEpochError,
+    row_key,
+)
 
 ARTIFACT_VERSION = 1
 
@@ -195,14 +200,9 @@ def load_service_state(state: Dict[str, object]) -> RestoredService:
                 f"cells cannot be interpreted (artifact predates the "
                 f"controller's reconfiguration history?)"
             )
-    registers = {
-        (group.group_id, cmu.index): cmu.register
-        for group in controller.groups
-        for cmu in group.cmus
-    }
     epochs: List[SealedEpoch] = []
     for entry in state["epochs"]:
-        cells: Dict[Tuple[int, int], np.ndarray] = {}
+        cells: Dict[Tuple[int, int, int], np.ndarray] = {}
         digest_sets: Dict[Tuple[int, int, int], set] = {}
         task_ids: List[int] = []
         for index_str, payload in entry["tasks"].items():
@@ -211,17 +211,17 @@ def load_service_state(state: Dict[str, object]) -> RestoredService:
             for row, values, digests in zip(
                 handle.rows, payload["rows"], payload["digests"]
             ):
-                key = (row.group.group_id, row.cmu.index)
-                if key not in cells:
-                    cells[key] = np.zeros(
-                        registers[key].size, dtype=np.int64
+                key = row_key(row)
+                sealed_row = np.array(values, dtype=np.int64)
+                if len(sealed_row) != row.mem.length:
+                    raise ValueError(
+                        f"epoch {entry['index']} task index {index_str}: a "
+                        f"sealed row holds {len(sealed_row)} cells, its "
+                        f"partition {row.mem.length}"
                     )
-                mem = row.mem
-                cells[key][mem.base : mem.base + mem.length] = np.asarray(
-                    values, dtype=np.int64
-                )
+                cells[key] = sealed_row
                 if digests:
-                    digest_sets[key + (handle.task_id,)] = {
+                    digest_sets[key] = {
                         tuple(int(v) for v in flow) for flow in digests
                     }
         sealed = SealedEpoch(
@@ -230,7 +230,6 @@ def load_service_state(state: Dict[str, object]) -> RestoredService:
             start_ts=entry.get("start_ts"),
             end_ts=entry.get("end_ts"),
             cells=cells,
-            registers={key: registers[key] for key in cells},
             task_ids=task_ids,
             digest_sets=digest_sets,
         )

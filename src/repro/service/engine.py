@@ -4,8 +4,8 @@
 :class:`~repro.core.controller.FlyMonController`: traffic is ingested in
 arbitrary chunks (whole traces, column batches, single packets), epochs
 rotate on packet-count or packet-time boundaries, and every rotation *seals*
-the epoch -- the hosting registers are snapshotted via
-:meth:`Register.snapshot_into` into an immutable :class:`SealedEpoch`, the
+the epoch -- each deployed row's register partition is copied out
+(:meth:`Register.read_range`) into an immutable :class:`SealedEpoch`, the
 per-epoch alarm digests are drained, and the deployments are reset so the
 next window starts fresh.  Sealed epochs live in a bounded ring
 (``retain``), so long-running services hold a sliding time series of the
@@ -21,7 +21,6 @@ sealed state matches a one-shot run of the same window exactly.
 from __future__ import annotations
 
 import copy
-import sys
 import threading
 import time
 from collections import deque
@@ -58,60 +57,13 @@ class StaleEpochError(KeyError):
     deployment changed since), so the sealed snapshot cannot answer for it."""
 
 
-#: Cap on the bytes :class:`_SnapshotPool` parks per array length.
-SNAPSHOT_POOL_BYTES = 64 << 20
+def row_key(row) -> Tuple[int, int, int]:
+    """``(group, cmu, task)``: where a deployed row's sealed cells live.
 
-
-def _sole_reference_count() -> Optional[int]:
-    """What ``sys.getrefcount`` says about an array only :meth:`reclaim`'s
-    local holds -- measured, in the statement shape ``reclaim`` uses, so the
-    test does not hard-code one interpreter's accounting.  ``None`` (never
-    recycle) where there are no reference counts to ask."""
-    if not hasattr(sys, "getrefcount"):
-        return None
-    _key, arr = {0: np.empty(0, dtype=np.int64)}.popitem()
-    return sys.getrefcount(arr)
-
-
-class _SnapshotPool:
-    """Parks the cell arrays of dead sealed epochs for the next seal.
-
-    A seal copies every hosting register into an ``int64`` array (512 KB
-    each).  Left to ``malloc``, that copy costs 0.7 ms when the pages are
-    still resident and 2.1 ms when the heap was trimmed since and they fault
-    back in 4 KB at a time -- which of the two depends on what else the
-    process freed, not on the seal.  So an epoch the service sealed hands its
-    arrays back when it dies (:meth:`SealedEpoch.__del__`), and only those:
-    every page of them has been written.  An array something else still
-    references (a bound estimator, a view) stays with its holder.  Lock-free
-    on purpose -- ``__del__`` can run inside any allocation, and ``list.pop``
-    / ``append`` are atomic.
+    The hardware gives a task at most one row per CMU, so the key names
+    exactly one register partition; it is also the digest key.
     """
-
-    def __init__(self, limit_bytes: int) -> None:
-        self.limit_bytes = limit_bytes
-        self._spare: Dict[int, List[np.ndarray]] = {}
-        self._sole = _sole_reference_count()
-
-    def take(self, size: int) -> np.ndarray:
-        """An ``int64[size]`` array with arbitrary contents."""
-        try:
-            return self._spare[size].pop()
-        except (KeyError, IndexError):
-            return np.empty(size, dtype=np.int64)
-
-    def reclaim(self, cells: Dict[Tuple[int, int], np.ndarray]) -> None:
-        """Empty ``cells``, keeping the arrays nothing else refers to."""
-        while cells and self._sole is not None:
-            _key, arr = cells.popitem()
-            if sys.getrefcount(arr) != self._sole:
-                continue
-            spare = self._spare.setdefault(len(arr), [])
-            if (len(spare) + 1) * arr.nbytes <= self.limit_bytes:
-                spare.append(arr)
-
-
-_SNAPSHOTS = _SnapshotPool(SNAPSHOT_POOL_BYTES)
+    return (row.group.group_id, row.cmu.index, row.task_id)
 
 
 class SealedRowView:
@@ -120,7 +72,7 @@ class SealedRowView:
     Mirrors the :class:`~repro.core.algorithms.base.RowBinding` query
     surface (``read`` / ``value_for_fields`` / ``probe`` plus the
     ``group``/``cmu``/``config``/``mem`` attributes the estimators consult),
-    but every cell access resolves against the epoch's immutable snapshot
+    but every cell access resolves against the row's sealed partition
     array instead of the live register.  Address computation (key
     compression, CMU index translation) delegates to the live binding --
     those paths are pure functions of the deployment's configuration --
@@ -128,11 +80,13 @@ class SealedRowView:
     instant of sealing, without ever touching it.
     """
 
-    __slots__ = ("_binding", "_cells")
+    __slots__ = ("_binding", "_cells", "_base")
 
     def __init__(self, binding, cells: np.ndarray) -> None:
         self._binding = binding
         self._cells = cells
+        # Read once: ``binding.mem`` resolves the live config on every call.
+        self._base = binding.mem.base
 
     @property
     def group(self):
@@ -155,21 +109,20 @@ class SealedRowView:
         return self._binding.mem
 
     def read(self) -> np.ndarray:
-        mem = self._binding.mem
-        return self._cells[mem.base : mem.base + mem.length].copy()
+        return self._cells.copy()
 
     def value_for_fields(self, fields: Dict[str, int]) -> int:
         binding = self._binding
         compressed = binding.group.compress(fields)
         index = binding.cmu.index_for(binding.task_id, compressed)
-        return int(self._cells[index & (len(self._cells) - 1)])
+        return int(self._cells[index - self._base])
 
     def probe(self, fields: Dict[str, int]) -> Tuple[int, int, int]:
         binding = self._binding
         compressed = binding.group.compress(fields)
         cfg = binding.config
         index = binding.cmu.index_for(binding.task_id, compressed)
-        value = int(self._cells[index & (len(self._cells) - 1)])
+        value = int(self._cells[index - self._base])
         p1 = cfg.p1_processor.apply(cfg.p1.value(fields, compressed), fields)
         return index, value, p1
 
@@ -180,14 +133,14 @@ class SealedRowView:
 class SealedEpoch:
     """One finished epoch's immutable measurement state.
 
-    Holds full-register snapshots of every CMU that hosted a task at seal
-    time, the epoch's drained alarm digests, and any registered series
-    outputs.  Queries resolve through :meth:`bind`: a detached copy of the
-    task's estimator whose row bindings read the sealed cell arrays
-    directly.  Sealed answers are bit-identical to querying the live state
-    at the instant of sealing, and -- because resolution never touches the
-    live registers -- any number of threads can query sealed epochs while
-    ingestion continues.
+    Holds one ``int64`` array per deployed row, sized to the row's register
+    partition and keyed by :func:`row_key`, plus the epoch's drained alarm
+    digests and any registered series outputs.  Queries resolve through
+    :meth:`bind`: a detached copy of the task's estimator whose row
+    bindings read the sealed arrays directly.  Sealed answers are
+    bit-identical to querying the live state at the instant of sealing,
+    and -- because resolution never touches the live registers -- any
+    number of threads can query sealed epochs while ingestion continues.
     """
 
     def __init__(
@@ -196,8 +149,7 @@ class SealedEpoch:
         packets: int,
         start_ts: Optional[int],
         end_ts: Optional[int],
-        cells: Dict[Tuple[int, int], np.ndarray],
-        registers: Dict[Tuple[int, int], object],
+        cells: Dict[Tuple[int, int, int], np.ndarray],
         task_ids: Sequence[int],
         digest_sets: Dict[Tuple[int, int, int], set],
     ) -> None:
@@ -211,7 +163,6 @@ class SealedEpoch:
         self.task_ids = frozenset(task_ids)
         self.digest_sets = digest_sets
         self._cells = cells
-        self._registers = registers
         # task_id -> detached estimator bound to the sealed cells.  Plain
         # dict on purpose: entries are immutable once built, and a racing
         # rebuild just produces an equivalent object.
@@ -223,23 +174,15 @@ class SealedEpoch:
             f"tasks={sorted(self.task_ids)})"
         )
 
-    #: Set by the service on the epochs it seals: their ``cells`` came from
-    #: :data:`_SNAPSHOTS` and go back to it when the epoch dies.
-    _pooled = False
-
-    def __del__(self) -> None:
-        if self._pooled and not sys.is_finalizing():
-            self._bound.clear()  # the cached estimators' views of the arrays
-            _SNAPSHOTS.reclaim(self._cells)
-
     # -- sealed state access ------------------------------------------------
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the sealed row arrays."""
+        return sum(cells.nbytes for cells in self._cells.values())
 
     def has_task(self, task_id: int) -> bool:
         return task_id in self.task_ids
-
-    def cells(self, group_id: int, cmu_index: int) -> np.ndarray:
-        """Copy of one register's sealed cell array."""
-        return self._cells[(group_id, cmu_index)].copy()
 
     def require_task(self, handle: TaskHandle) -> None:
         if not self.has_task(handle.task_id):
@@ -251,23 +194,13 @@ class SealedEpoch:
     def read_rows(self, handle: TaskHandle) -> List[np.ndarray]:
         """The task's per-row memory slices as sealed (no register access)."""
         self.require_task(handle)
-        out = []
-        for row in handle.rows:
-            mem = row.mem
-            cells = self._cells[(row.group.group_id, row.cmu.index)]
-            out.append(cells[mem.base : mem.base + mem.length].copy())
-        return out
+        return [self._cells[row_key(row)].copy() for row in handle.rows]
 
     def digests(self, handle: TaskHandle) -> List[set]:
         """Per-row alarm digest sets drained at seal time."""
         self.require_task(handle)
         return [
-            set(
-                self.digest_sets.get(
-                    (row.group.group_id, row.cmu.index, handle.task_id), set()
-                )
-            )
-            for row in handle.rows
+            set(self.digest_sets.get(row_key(row), set())) for row in handle.rows
         ]
 
     def bind(self, handle: TaskHandle):
@@ -276,9 +209,9 @@ class SealedEpoch:
         The returned algorithm instance shares the deployment's
         configuration (key selectors, address translation, processors) but
         its row bindings are :class:`SealedRowView` objects over this
-        epoch's snapshot arrays, so running any estimator on it neither
-        reads nor writes the live registers.  Lock-free: safe to call (and
-        to query the result) from any number of threads while ingestion
+        epoch's row arrays, so running any estimator on it neither reads
+        nor writes the live registers.  Lock-free: safe to call (and to
+        query the result) from any number of threads while ingestion
         continues.
         """
         self.require_task(handle)
@@ -287,8 +220,7 @@ class SealedEpoch:
             return algo
         algo = copy.copy(handle.algorithm)
         algo.rows = [
-            SealedRowView(row, self._cells[(row.group.group_id, row.cmu.index)])
-            for row in handle.rows
+            SealedRowView(row, self._cells[row_key(row)]) for row in handle.rows
         ]
         self._bound[handle.task_id] = algo
         return algo
@@ -636,6 +568,7 @@ class MeasurementService:
             "packets_total": self._packets_total + len(self._pending_fields),
             "sealed_epochs": len(self._ring),
             "retained": [s.index for s in self._ring],
+            "sealed_bytes": sum(s.nbytes for s in self._ring),
             "watchers": len(self.watchers),
             "series": sorted(self._series),
             "epoch_packets": self.epoch_packets,
@@ -866,13 +799,6 @@ class MeasurementService:
         finally:
             self.ingest_ms_total += (time.perf_counter() - t0) * 1e3
 
-    def _hosting_rows(self, handles: Sequence[TaskHandle]):
-        registers: Dict[Tuple[int, int], object] = {}
-        for handle in handles:
-            for row in handle.rows:
-                registers[(row.group.group_id, row.cmu.index)] = row.cmu.register
-        return registers
-
     def _seal(self, reset_handles: Optional[Sequence[TaskHandle]] = None) -> SealedEpoch:
         with self._lock:
             return self._seal_locked(reset_handles=reset_handles)
@@ -885,33 +811,33 @@ class MeasurementService:
             "service.rotate", cat="service", epoch=self._epoch_index,
             packets=self._epoch_fill,
         ):
-            with _RECORDER.span("rotate.snapshot", cat="service"):
+            with _RECORDER.span("rotate.snapshot", cat="service") as span:
                 handles = self.controller.tasks
-                registers = self._hosting_rows(handles)
-                cells: Dict[Tuple[int, int], np.ndarray] = {}
-                for key, register in registers.items():
-                    cells[key] = _SNAPSHOTS.take(register.size)
-                    register.snapshot_into(cells[key])
+                cells: Dict[Tuple[int, int, int], np.ndarray] = {}
+                for handle in handles:
+                    for row in handle.rows:
+                        mem = row.mem
+                        cells[row_key(row)] = row.cmu.register.read_range(
+                            mem.base, mem.length
+                        )
+                if span.span_id is not None:  # the recorder is on
+                    span.attrs["bytes"] = sum(a.nbytes for a in cells.values())
             with _RECORDER.span("rotate.digests", cat="service"):
                 digest_sets: Dict[Tuple[int, int, int], set] = {}
                 for handle in handles:
                     for row in handle.rows:
                         drained = row.cmu.drain_digests(handle.task_id)
                         if drained:
-                            digest_sets[
-                                (row.group.group_id, row.cmu.index, handle.task_id)
-                            ] = drained
+                            digest_sets[row_key(row)] = drained
             sealed = SealedEpoch(
                 index=self._epoch_index,
                 packets=self._epoch_fill,
                 start_ts=self._epoch_min_ts,
                 end_ts=self._epoch_max_ts,
                 cells=cells,
-                registers=registers,
                 task_ids=[handle.task_id for handle in handles],
                 digest_sets=digest_sets,
             )
-            sealed._pooled = True
             self._ring.append(sealed)
 
             # Capture the WAL's per-task payload before watchers can

@@ -97,9 +97,8 @@ class TestBitIdentity:
 
     def test_merged_cells_bit_identical_per_epoch(self):
         for fs, rs in zip(self.fab_epochs, self.ref_epochs):
+            assert fs._cells.keys() == rs._cells.keys()
             for key, ref_cells in rs._cells.items():
-                if key not in fs._cells:
-                    continue  # no fabric task occupies this CMU
                 assert np.array_equal(fs._cells[key], ref_cells), (
                     fs.index,
                     key,

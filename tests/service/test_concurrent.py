@@ -35,21 +35,27 @@ from service_tasks import bloom_task, freq_task, hll_task, mrac_task
 
 
 @contextmanager
-def legacy_overlay(sealed):
-    """The deleted ``SealedEpoch.overlay()``: swap sealed cells into the
-    live registers, yield, restore.  Kept here as the differential oracle
-    for detached resolution (single-threaded use only, by construction)."""
-    saved = {
-        key: register.snapshot_cells()
-        for key, register in sealed._registers.items()
-    }
+def legacy_overlay(sealed, handles):
+    """The deleted ``SealedEpoch.overlay()``: write each sealed row into its
+    live register partition, yield, restore.  Kept here as the differential
+    oracle for detached resolution (single-threaded use only, by
+    construction)."""
+    rows = [
+        (row, cells)
+        for handle in handles
+        for row, cells in zip(handle.rows, sealed.read_rows(handle))
+    ]
+    saved = [
+        row.cmu.register.read_range(row.mem.base, row.mem.length)
+        for row, _ in rows
+    ]
     try:
-        for key, register in sealed._registers.items():
-            register.load_cells(sealed._cells[key])
+        for row, cells in rows:
+            row.cmu.register.write_range(row.mem.base, cells)
         yield
     finally:
-        for key, register in sealed._registers.items():
-            register.load_cells(saved[key])
+        for (row, _), cells in zip(rows, saved):
+            row.cmu.register.write_range(row.mem.base, cells)
 
 
 def _flows(trace, count=24):
@@ -88,7 +94,7 @@ class TestDifferentialPin:
         for sealed in epochs:
             for query in queries:
                 detached = resolve(query, sealed)
-                with legacy_overlay(sealed):
+                with legacy_overlay(sealed, (cms, hll, mrac, bloom)):
                     # The oracle asks the *live* algorithm while the sealed
                     # cells are swapped in -- the exact pre-refactor path.
                     handle = query.handle()

@@ -1,7 +1,5 @@
 """Unit tests for the streaming epoch engine (MeasurementService)."""
 
-import weakref
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from repro.service import (
     MeasurementService,
     StaleEpochError,
 )
-from repro.service.engine import _SnapshotPool
 from repro.traffic import zipf_trace
 from repro.traffic.packet import PACKET_FIELDS
 from repro.traffic.trace import Trace
@@ -218,8 +215,8 @@ class TestRetention:
             service.epoch(0)
 
     def test_epoch_held_past_eviction_keeps_its_cells(self, controller):
-        """The ring recycles the arrays of dead epochs; one the caller still
-        holds -- or whose bound estimator it holds -- is not dead."""
+        """An epoch evicted from the ring, or an estimator bound to one,
+        still reads its own arrays: nothing recycles them."""
         handle = controller.add_task(freq_task())
         service = MeasurementService(controller, epoch_packets=100, retain=2)
         trace = zipf_trace(num_flows=50, num_packets=1400, seed=14)
@@ -232,33 +229,6 @@ class TestRetention:
         assert first.index not in [s.index for s in service.epochs]
         assert _rows(first, handle) == rows
         assert [row.read().tolist() for row in estimator.rows] == bound_rows
-
-    def test_snapshot_pool_keeps_only_unreferenced_arrays(self):
-        pool = _SnapshotPool(limit_bytes=2 * 64 * 8)
-        held = np.zeros(64, dtype=np.int64)
-        viewed = np.zeros(64, dtype=np.int64)
-        view = viewed[:8]
-        cells = {
-            (0, 0): held,
-            (0, 1): viewed,
-            (0, 2): np.ones(64, dtype=np.int64),
-            (1, 0): np.ones(64, dtype=np.int64),
-            (1, 1): np.ones(64, dtype=np.int64),  # over the limit
-        }
-        del viewed
-        # Weak references: they leave the refcount the pool's guard reads
-        # alone, and the one array over the limit is freed, not parked, so
-        # a fresh array may reuse its address -- compare by identity with
-        # the live referents, never by id().
-        candidates = [weakref.ref(cells[key]) for key in ((0, 2), (1, 0), (1, 1))]
-        pool.reclaim(cells)
-        assert not cells
-        parked = [arr for arr in (ref() for ref in candidates) if arr is not None]
-        assert len(parked) == 2
-        taken = [pool.take(64) for _ in range(3)]
-        assert sum(any(arr is p for p in parked) for arr in taken) == 2
-        assert all(arr is not held and arr is not view.base for arr in taken)
-        assert pool.take(32).shape == (32,)
 
     def test_series_over_ring(self, controller):
         handle = controller.add_task(hll_task())
@@ -409,7 +379,7 @@ class TestFlightRecorder:
     def test_ingest_and_rotation_spans(self, controller):
         from repro.telemetry import RECORDER, disable_recorder, enable_recorder
 
-        controller.add_task(freq_task())
+        handle = controller.add_task(freq_task())
         trace = zipf_trace(num_flows=50, num_packets=900, seed=20)
         RECORDER.clear()
         enable_recorder()
@@ -440,6 +410,11 @@ class TestFlightRecorder:
             for s in spans
             if s.name == "service.rotate"
         )
+        # The snapshot span carries what the seal copied: the task's rows.
+        row_bytes = 8 * sum(row.mem.length for row in handle.rows)
+        assert [
+            s.attrs["bytes"] for s in spans if s.name == "rotate.snapshot"
+        ] == [row_bytes] * 3
         assert by_id  # parent links all resolve within the ring
 
     def test_recorder_off_records_nothing(self, controller):
