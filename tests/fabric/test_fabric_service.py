@@ -63,8 +63,9 @@ def build_reference(tasks):
 
 def drive_both(fabric, reference, trace, epoch_packets=EPOCH):
     fabric_epochs = fabric.ingest(trace)
-    if fabric._epoch_fill:
-        fabric_epochs.append(fabric.rotate())
+    tail = fabric.stop(seal_tail=True)
+    if tail is not None:
+        fabric_epochs.append(tail)
     ref_epochs = []
     remaining = trace
     while len(remaining):
