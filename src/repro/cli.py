@@ -1,4 +1,5 @@
-"""Command-line interface: explore algorithms and regenerate experiments.
+"""Command-line interface: explore algorithms, regenerate experiments, and
+drive the measurement service.
 
 Usage::
 
@@ -6,8 +7,14 @@ Usage::
     python -m repro list-experiments
     python -m repro run <experiment> [--full] [--telemetry PATH]
     python -m repro stats [--experiment NAME | --input PATH] [--format FMT]
+    python -m repro report [--output PATH] [--fast-only]
+    python -m repro verify [--rounds N] [--seed N]
+    python -m repro serve [--tasks LIST] [--wal PATH] [--checkpoint PATH]
+    python -m repro query --input PATH [--list | --query KIND [--flow KEY]]
+    python -m repro recover --wal PATH [--output PATH]
     python -m repro profile [--workload stream|batch] [--trace-out PATH]
     python -m repro top [--watch-fill F]
+    python -m repro fabric serve|query|status [--switches N | --topology PATH]
     python -m repro bench-compare [--update-baseline]
     python -m repro demo
 
@@ -17,6 +24,10 @@ Usage::
 full control-plane event log plus a metrics snapshot to ``PATH`` as JSON.
 ``stats`` renders such an artifact (or produces a fresh one by running an
 experiment) as a summary, Prometheus text, or JSON.
+
+``serve``, ``profile``, ``top`` and ``fabric serve``/``query`` deploy their
+task presets through one builder (:func:`_deploy`) and run their service
+through :class:`~repro.service.runner.ServiceRunner`.
 """
 
 from __future__ import annotations
@@ -24,20 +35,13 @@ from __future__ import annotations
 import argparse
 import importlib
 import os
-import signal
 import sys
 from typing import List, Optional
 
 
-class GracefulShutdown(Exception):
-    """Raised by the ``repro serve`` SIGTERM handler to unwind ingestion.
+class CliError(Exception):
+    """A usage problem: :func:`main` prints ``error: <message>`` and exits 2."""
 
-    Riding an exception through the ingest loop funnels the signal into the
-    same cleanup path as a completed trace: wall-clock sealers stop, the
-    ragged tail window seals, and the WAL flushes through its close-time
-    reattach -- instead of the default handler killing the process
-    mid-epoch.
-    """
 
 #: Experiment name -> harness module (each exposes run()/format_result()).
 EXPERIMENTS = {
@@ -57,6 +61,9 @@ EXPERIMENTS = {
     "fig14g": "repro.experiments.fig14g_existence",
     "appendix-b": "repro.experiments.appendix_b_collisions",
 }
+
+#: ``--generator`` choices (see :func:`_load_trace`).
+GENERATORS = ("zipf", "uniform", "ddos", "superspreader", "portscan")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,29 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the continuous measurement service over a trace: "
         "streaming epochs, watchers, queryable checkpoint artifact",
     )
-    source = serve.add_mutually_exclusive_group()
-    source.add_argument(
-        "--input",
-        metavar="PATH",
-        default=None,
-        help="replay a .npz trace written by Trace.save",
-    )
-    source.add_argument(
-        "--generator",
-        choices=("zipf", "uniform", "ddos", "superspreader", "portscan"),
-        default="zipf",
-        help="synthesize the input trace (default: zipf)",
-    )
-    serve.add_argument("--packets", type=int, default=100_000, metavar="N")
-    serve.add_argument("--flows", type=int, default=5_000, metavar="N")
-    serve.add_argument("--seed", type=int, default=1, metavar="N")
-    rotation = serve.add_mutually_exclusive_group()
-    rotation.add_argument(
-        "--epoch-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="rotate epochs every N packets (default: packets/20)",
+    _add_source_args(serve, packets=100_000)
+    rotation = _add_ingest_args(
+        serve, chunk=32_768,
+        epoch_help="rotate epochs every N packets (default: packets/20)",
     )
     rotation.add_argument(
         "--epoch-us",
@@ -197,25 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retain", type=int, default=16, metavar="N",
         help="sealed epochs kept in the ring (default: 16)",
     )
-    serve.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="vectorized-engine chunk size (0 forces the scalar path)",
-    )
-    serve.add_argument(
-        "--chunk", type=int, default=32_768, metavar="N",
-        help="ingest the trace in chunks of N packets (default: 32768)",
-    )
-    serve.add_argument(
-        "--tasks",
-        default="hh,card",
-        metavar="LIST",
-        help="comma list of task presets: hh, card, entropy, existence, "
-        "interarrival (default: hh,card)",
-    )
-    serve.add_argument(
-        "--threshold", type=int, default=100, metavar="N",
-        help="heavy-hitter alarm threshold for the hh preset (default: 100)",
-    )
+    _add_task_args(serve)
     serve.add_argument(
         "--watch-fill",
         type=float,
@@ -247,9 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal",
         metavar="PATH",
         default=None,
-        help="append a crash-consistent write-ahead log (JSON lines) that "
-        "`repro recover` replays after a crash; a directory (with "
-        "--wal-segment-seals/--wal-segment-bytes) enables segmentation",
+        help="append a crash-consistent write-ahead log (binary, checksummed "
+        "frames) that `repro recover` replays after a crash; a directory "
+        "(with --wal-segment-seals/--wal-segment-bytes) holds "
+        "wal-NNNNNN.seg segments",
     )
     serve.add_argument(
         "--wal-policy",
@@ -310,35 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream: the continuous service with epoch rotation; "
         "batch: one batched trace replay (default: stream)",
     )
-    psource = profile.add_mutually_exclusive_group()
-    psource.add_argument(
-        "--input", metavar="PATH", default=None,
-        help="replay a .npz trace written by Trace.save",
+    _add_source_args(profile, packets=100_000)
+    _add_ingest_args(
+        profile, chunk=32_768,
+        epoch_help="stream workload: rotate every N packets "
+        "(default: packets/20)",
     )
-    psource.add_argument(
-        "--generator",
-        choices=("zipf", "uniform", "ddos", "superspreader", "portscan"),
-        default="zipf",
-    )
-    profile.add_argument("--packets", type=int, default=100_000, metavar="N")
-    profile.add_argument("--flows", type=int, default=5_000, metavar="N")
-    profile.add_argument("--seed", type=int, default=1, metavar="N")
-    profile.add_argument(
-        "--epoch-size", type=int, default=None, metavar="N",
-        help="stream workload: rotate every N packets (default: packets/20)",
-    )
-    profile.add_argument(
-        "--batch-size", type=int, default=None, metavar="N"
-    )
-    profile.add_argument(
-        "--chunk", type=int, default=32_768, metavar="N",
-        help="stream workload: ingest chunk size (default: 32768)",
-    )
-    profile.add_argument(
-        "--tasks", default="hh,card", metavar="LIST",
-        help="task presets, as for `repro serve` (default: hh,card)",
-    )
-    profile.add_argument("--threshold", type=int, default=100, metavar="N")
+    _add_task_args(profile)
     profile.add_argument(
         "--min-pct", type=float, default=0.05, metavar="F",
         help="fold phases under F%% of total into (unattributed)",
@@ -359,27 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser(
         "top",
-        help="run the streaming service with a live refreshing dashboard: "
-        "pps, epoch seal ms, health, watcher fires",
+        help="run the streaming service with a live refreshing dashboard "
+        "(one frame per --chunk packets): pps, epoch seal ms, health, "
+        "watcher fires",
     )
-    tsource = top.add_mutually_exclusive_group()
-    tsource.add_argument("--input", metavar="PATH", default=None)
-    tsource.add_argument(
-        "--generator",
-        choices=("zipf", "uniform", "ddos", "superspreader", "portscan"),
-        default="zipf",
+    _add_source_args(top, packets=200_000)
+    _add_ingest_args(
+        top, chunk=16_384,
+        epoch_help="rotate every N packets (default: packets/20)",
     )
-    top.add_argument("--packets", type=int, default=200_000, metavar="N")
-    top.add_argument("--flows", type=int, default=5_000, metavar="N")
-    top.add_argument("--seed", type=int, default=1, metavar="N")
-    top.add_argument("--epoch-size", type=int, default=None, metavar="N")
-    top.add_argument("--batch-size", type=int, default=None, metavar="N")
-    top.add_argument(
-        "--chunk", type=int, default=16_384, metavar="N",
-        help="dashboard refresh granularity in packets (default: 16384)",
-    )
-    top.add_argument("--tasks", default="hh,card", metavar="LIST")
-    top.add_argument("--threshold", type=int, default=100, metavar="N")
+    _add_task_args(top)
     top.add_argument(
         "--watch-fill", type=float, default=None, metavar="F",
         help="fill-factor watcher, as for `repro serve`",
@@ -449,13 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         default=None,
     )
-    query.add_argument(
-        "--flow",
-        default=None,
-        metavar="KEY",
-        help="flow key for point queries: comma-separated fields, each a "
-        "dotted quad or integer (e.g. 10.0.0.7 or 10.0.0.7,443)",
-    )
+    _add_flow_arg(query)
     query.add_argument("--threshold", type=int, default=None, metavar="N")
     query.add_argument("--series", default=None, metavar="NAME")
 
@@ -500,28 +432,18 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="preset: N edge switches + one core spine (default: 4)",
         )
-        p.add_argument(
-            "--tasks",
-            default="hh,card",
-            metavar="LIST",
-            help="comma list of task presets: hh, card, entropy, existence, "
-            "interarrival (default: hh,card)",
-        )
-        p.add_argument("--threshold", type=int, default=100, metavar="N")
+        _add_task_args(p)
 
     def fabric_traffic(p):
         p.add_argument(
             "--input", metavar="PATH", default=None,
             help="replay a .npz trace (default: synthesize per-edge zipf)",
         )
-        p.add_argument("--packets", type=int, default=40_000, metavar="N")
-        p.add_argument("--flows", type=int, default=2_000, metavar="N")
-        p.add_argument("--seed", type=int, default=1, metavar="N")
-        p.add_argument(
-            "--epoch-size", type=int, default=None, metavar="N",
-            help="fabric barrier every N packets (default: packets/8)",
+        _add_traffic_args(p, packets=40_000, flows=2_000)
+        _add_ingest_args(
+            p, chunk=16_384, batch=False,
+            epoch_help="fabric barrier every N packets (default: packets/8)",
         )
-        p.add_argument("--chunk", type=int, default=16_384, metavar="N")
 
     fserve = fsub.add_parser(
         "serve", help="stream a trace through the fabric, printing each "
@@ -551,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "heavy-hitters"),
         required=True,
     )
-    fquery.add_argument("--flow", default=None, metavar="KEY")
+    _add_flow_arg(fquery)
     fquery.add_argument("--epoch", type=int, default=None, metavar="N")
 
     fstatus = fsub.add_parser(
@@ -565,6 +487,73 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("demo", help="run the quickstart scenario")
     return parser
+
+
+def _add_source_args(p, packets: int) -> None:
+    """Where the trace comes from: a saved .npz or a generator."""
+    source = p.add_mutually_exclusive_group()
+    source.add_argument(
+        "--input", metavar="PATH", default=None,
+        help="replay a .npz trace written by Trace.save",
+    )
+    source.add_argument(
+        "--generator", choices=GENERATORS, default="zipf",
+        help="synthesize the input trace (default: zipf)",
+    )
+    _add_traffic_args(p, packets)
+
+
+def _add_traffic_args(p, packets: int, flows: int = 5_000) -> None:
+    """The synthesized trace's size and seed."""
+    for flag, default in (("--packets", packets), ("--flows", flows), ("--seed", 1)):
+        p.add_argument(flag, type=int, default=default, metavar="N")
+
+
+def _add_ingest_args(p, chunk: int, epoch_help: str, batch: bool = True):
+    """``--batch-size``, ``--chunk`` and ``--epoch-size``.
+
+    Returns the mutually exclusive group ``--epoch-size`` sits in, for
+    ``serve``'s other rotation policies.
+    """
+    if batch:
+        p.add_argument(
+            "--batch-size", type=int, default=None, metavar="N",
+            help="vectorized-engine chunk size (0 forces the scalar path)",
+        )
+    p.add_argument(
+        "--chunk", type=int, default=chunk, metavar="N",
+        help=f"ingest the trace in chunks of N packets (default: {chunk})",
+    )
+    rotation = p.add_mutually_exclusive_group()
+    rotation.add_argument(
+        "--epoch-size", type=int, default=None, metavar="N", help=epoch_help
+    )
+    return rotation
+
+
+def _add_task_args(p) -> None:
+    p.add_argument(
+        "--tasks",
+        default="hh,card",
+        metavar="LIST",
+        help="comma list of task presets: hh, card, entropy, existence, "
+        "interarrival (default: hh,card)",
+    )
+    p.add_argument(
+        "--threshold", type=int, default=100, metavar="N",
+        help="heavy-hitter alarm threshold for the hh preset (default: 100)",
+    )
+
+
+def _add_flow_arg(p) -> None:
+    p.add_argument(
+        "--flow",
+        default=None,
+        metavar="KEY",
+        help="flow key for point queries: comma-separated fields, each a "
+        "dotted quad or integer, one per field of the task's key (e.g. "
+        "10.0.0.7, or 10.0.0.7,10.0.0.9,443,80,6 for a 5-tuple)",
+    )
 
 
 def cmd_list_algorithms() -> int:
@@ -922,8 +911,52 @@ def cmd_verify(rounds: Optional[int] = None, seed: Optional[int] = None) -> int:
     return 0
 
 
-def _serve_tasks(names: List[str], threshold: int):
-    """Instantiate the ``repro serve`` task presets, in request order."""
+def _write_json(path: str, obj, atomic: bool = False) -> None:
+    """Write ``obj`` to ``path`` as the bytes ``json.dumps(obj)`` gives.
+
+    ``atomic`` writes ``path.tmp`` and renames it over ``path``, so a
+    reader never sees half a file.
+    """
+    target = path + ".tmp" if atomic else path
+    with open(target, "w") as fh:
+        fh.writelines(_json_pieces(obj))
+    if atomic:
+        os.replace(target, path)
+
+
+def _json_pieces(obj):
+    """``json.dumps(obj)`` in pieces: dicts and lists of containers are
+    split, so each piece the C encoder sees is a scalar or a flat list (a
+    register row, in a checkpoint).
+
+    ``json.dump`` streams through the pure-Python encoder, ~5x slower on a
+    checkpoint; one ``json.dumps`` of the whole runs the C encoder, but on
+    CPython 3.11 that holds every small fragment until the end (+4 MB peak
+    RSS on a 0.8 MB checkpoint).  Piece by piece does neither.
+    """
+    import json
+
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            yield (", " if i else "") + json.dumps(key) + ": "
+            yield from _json_pieces(value)
+        yield "}"
+    elif isinstance(obj, (list, tuple)) and obj and isinstance(
+        obj[0], (dict, list, tuple)
+    ):
+        yield "["
+        for i, value in enumerate(obj):
+            if i:
+                yield ", "
+            yield from _json_pieces(value)
+        yield "]"
+    else:
+        yield json.dumps(obj)
+
+
+def _presets(args):
+    """The ``--tasks`` presets as (name, task) pairs, in request order."""
     from repro.core.task import AttributeSpec, MeasurementTask
     from repro.traffic.flows import KEY_5TUPLE, KEY_SRC_IP
 
@@ -934,7 +967,7 @@ def _serve_tasks(names: List[str], threshold: int):
             memory=4096,
             depth=3,
             algorithm="cms",
-            threshold=threshold,
+            threshold=args.threshold,
         ),
         "card": lambda: MeasurementTask(
             key=KEY_5TUPLE,
@@ -966,16 +999,82 @@ def _serve_tasks(names: List[str], threshold: int):
         ),
     }
     out = []
-    for name in names:
+    for name in (n.strip() for n in args.tasks.split(",")):
+        if not name:
+            continue
         if name not in presets:
-            raise ValueError(
+            raise CliError(
                 f"unknown task preset {name!r} (choose from {sorted(presets)})"
             )
         out.append((name, presets[name]()))
     return out
 
 
-def _load_serve_trace(args):
+def _deploy(args, service, series: bool = True):
+    """Deploy the ``--tasks`` presets on ``service`` -- through its
+    controller, or collaboratively on a fabric -- register the series the
+    presets answer, and add the watchers the flags ask for.
+
+    Returns preset name -> the handle typed queries take.
+    """
+    from repro.core.controller import PlacementError
+    from repro.fabric import FabricPlacementError, FabricService
+    from repro.service import (
+        CardinalityQuery,
+        EntropyQuery,
+        HeavyHitterQuery,
+        TaskRef,
+        Watcher,
+        cardinality_metric,
+        fill_factor_metric,
+        resize_action,
+    )
+
+    if isinstance(service, FabricService):
+        deploy = service.deploy
+    else:
+        def deploy(task):
+            return TaskRef(service.controller.add_task(task))
+
+    try:
+        handles = {name: deploy(task) for name, task in _presets(args)}
+    except (PlacementError, FabricPlacementError) as exc:
+        raise CliError(f"cannot place the task mix ({args.tasks}): {exc}")
+    if series:
+        for preset, name, query in (
+            ("hh", "heavy_hitters", HeavyHitterQuery),
+            ("card", "cardinality", CardinalityQuery),
+            ("entropy", "entropy", EntropyQuery),
+        ):
+            if preset in handles:
+                service.register_series(name, query(handles[preset]))
+    if getattr(args, "watch_fill", None) is not None:
+        if "hh" not in handles:
+            raise CliError("--watch-fill needs the hh task")
+        service.add_watcher(
+            Watcher(
+                "fill_factor",
+                fill_factor_metric(handles["hh"]),
+                above=args.watch_fill,
+                action=resize_action(handles["hh"]),
+                cooldown_epochs=1,
+            )
+        )
+    if getattr(args, "watch_cardinality", None) is not None:
+        if "card" not in handles:
+            raise CliError("--watch-cardinality needs the card task")
+        service.add_watcher(
+            Watcher(
+                "cardinality_spike",
+                cardinality_metric(handles["card"]),
+                above=args.watch_cardinality,
+            )
+        )
+    return handles
+
+
+def _load_trace(args):
+    """The ``--input`` trace, or the ``--generator`` one."""
     from repro.traffic import (
         ddos_trace,
         portscan_trace,
@@ -986,7 +1085,10 @@ def _load_serve_trace(args):
     from repro.traffic.trace import Trace
 
     if args.input is not None:
-        return Trace.load(args.input)
+        try:
+            return Trace.load(args.input)
+        except FileNotFoundError:
+            raise CliError(f"no trace at {args.input}")
     generators = {
         "zipf": lambda: zipf_trace(
             num_flows=args.flows, num_packets=args.packets, seed=args.seed
@@ -1005,105 +1107,72 @@ def _load_serve_trace(args):
     return generators[args.generator]()
 
 
+def _build_service(args, trace):
+    """A service over a fresh controller for ``trace``, rotating as the
+    flags say (every ``packets/20`` by default), with the presets deployed
+    (:func:`_deploy`).  Only ``serve`` has the other rotation policies,
+    ``--retain`` and ``--max-stall-ms``."""
+    from repro.core.controller import FlyMonController
+    from repro.service import MeasurementService
+
+    epoch_us = getattr(args, "epoch_us", None)
+    epoch_wall_ms = getattr(args, "epoch_wall_ms", None)
+    epoch_packets = args.epoch_size
+    if epoch_packets is None and epoch_us is None and epoch_wall_ms is None:
+        epoch_packets = max(1, len(trace) // 20)
+    try:
+        service = MeasurementService(
+            FlyMonController(num_groups=3),
+            epoch_packets=epoch_packets,
+            epoch_duration_us=epoch_us,
+            epoch_wall_ms=epoch_wall_ms,
+            retain=getattr(args, "retain", 16),
+            batch_size=args.batch_size,
+            max_stall_ms=getattr(args, "max_stall_ms", None),
+        )
+    except ValueError as exc:
+        raise CliError(str(exc))
+    _deploy(args, service)
+    return service
+
+
+def _epoch_line(sealed, merged: bool = False) -> str:
+    """The stdout line for one sealed epoch: a service's (seal time, fired
+    watchers) or, ``merged``, a fabric's (members that missed it)."""
+    head = "merged" if merged else f"sealed in {sealed.seal_ms:6.2f} ms"
+    line = f"epoch {sealed.index:>3}: {sealed.packets:>7} pkts {head}"
+    for name in sorted(sealed.outputs):
+        value = sealed.outputs[name]
+        if isinstance(value, float):
+            line += f"  {name}={value:.1f}"
+        elif isinstance(value, (set, frozenset, list)):
+            line += f"  {name}={len(value)}"
+        else:
+            line += f"  {name}={value}"
+    fired = [e for e in sealed.watcher_events if e.fired]
+    if fired:
+        line += "  [" + ", ".join(
+            f"{e.watcher}->{e.outcome or 'fired'}" for e in fired
+        ) + "]"
+    degraded = getattr(sealed, "degraded", None)
+    if degraded:
+        line += f"  [degraded: {', '.join(degraded)}]"
+    return line
+
+
 def cmd_serve(args) -> int:
-    import json
     import time
 
     from repro import telemetry
-    from repro.core.controller import FlyMonController
-    from repro.service import (
-        CardinalityQuery,
-        EntropyQuery,
-        HeavyHitterQuery,
-        MeasurementService,
-        TaskRef,
-        Watcher,
-        cardinality_metric,
-        fill_factor_metric,
-        resize_action,
-        service_checkpoint,
-    )
+    from repro.service import service_checkpoint
+    from repro.service.runner import ServiceRunner
 
-    try:
-        trace = _load_serve_trace(args)
-    except FileNotFoundError:
-        print(f"error: no trace at {args.input}", file=sys.stderr)
-        return 2
-    epoch_packets = args.epoch_size
-    epoch_duration_us = args.epoch_us
-    epoch_wall_ms = args.epoch_wall_ms
-    if epoch_packets is None and epoch_duration_us is None and epoch_wall_ms is None:
-        epoch_packets = max(1, len(trace) // 20)
-
+    trace = _load_trace(args)
     if args.telemetry is not None:
         telemetry.reset()
         telemetry.enable()
     try:
-        controller = FlyMonController(num_groups=3)
-        try:
-            named = _serve_tasks(
-                [n.strip() for n in args.tasks.split(",") if n.strip()],
-                args.threshold,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        from repro.core.controller import PlacementError
-
-        try:
-            refs = {
-                name: TaskRef(controller.add_task(task)) for name, task in named
-            }
-        except PlacementError as exc:
-            print(
-                f"error: cannot place the requested task mix "
-                f"({args.tasks}): {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        service = MeasurementService(
-            controller,
-            epoch_packets=epoch_packets,
-            epoch_duration_us=epoch_duration_us,
-            epoch_wall_ms=epoch_wall_ms,
-            retain=args.retain,
-            batch_size=args.batch_size,
-            max_stall_ms=getattr(args, "max_stall_ms", None),
-        )
-        if "hh" in refs:
-            service.register_series("heavy_hitters", HeavyHitterQuery(refs["hh"]))
-        if "card" in refs:
-            service.register_series("cardinality", CardinalityQuery(refs["card"]))
-        if "entropy" in refs:
-            service.register_series("entropy", EntropyQuery(refs["entropy"]))
-        if args.watch_fill is not None:
-            if "hh" not in refs:
-                print("error: --watch-fill needs the hh task", file=sys.stderr)
-                return 2
-            service.add_watcher(
-                Watcher(
-                    "fill_factor",
-                    fill_factor_metric(refs["hh"]),
-                    above=args.watch_fill,
-                    action=resize_action(refs["hh"]),
-                    cooldown_epochs=1,
-                )
-            )
-        if args.watch_cardinality is not None:
-            if "card" not in refs:
-                print(
-                    "error: --watch-cardinality needs the card task",
-                    file=sys.stderr,
-                )
-                return 2
-            service.add_watcher(
-                Watcher(
-                    "cardinality_spike",
-                    cardinality_metric(refs["card"]),
-                    above=args.watch_cardinality,
-                )
-            )
-
+        service = _build_service(args, trace)
         wal = None
         if args.wal is not None:
             from repro.service.wal import ServiceWal, WalError
@@ -1111,111 +1180,32 @@ def cmd_serve(args) -> int:
             try:
                 wal = ServiceWal(
                     args.wal,
-                    segment_seals=getattr(args, "wal_segment_seals", None),
-                    segment_bytes=getattr(args, "wal_segment_bytes", None),
-                    policy=getattr(args, "wal_policy", "fail"),
-                    resume=bool(getattr(args, "wal_force", False)),
+                    segment_seals=args.wal_segment_seals,
+                    segment_bytes=args.wal_segment_bytes,
+                    policy=args.wal_policy,
+                    resume=args.wal_force,
                 ).attach(service)
             except WalError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-
-        health_out = getattr(args, "health_out", None)
+                raise CliError(str(exc))
 
         def write_health() -> None:
-            if health_out is None:
+            if args.health_out is None:
                 return
             payload = service.health()
             payload["time"] = time.time()
             if wal is not None:
                 payload["wal"] = wal.status()
-            tmp = health_out + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, health_out)
+            _write_json(args.health_out, payload, atomic=True)
 
-        def print_epoch(sealed) -> None:
-            fired = [e for e in sealed.watcher_events if e.fired]
-            line = (
-                f"epoch {sealed.index:>3}: {sealed.packets:>7} pkts "
-                f"sealed in {sealed.seal_ms:6.2f} ms"
-            )
-            for name in sorted(sealed.outputs):
-                value = sealed.outputs[name]
-                if isinstance(value, float):
-                    line += f"  {name}={value:.1f}"
-                elif isinstance(value, (set, frozenset, list)):
-                    line += f"  {name}={len(value)}"
-                else:
-                    line += f"  {name}={value}"
-            if fired:
-                line += "  [" + ", ".join(
-                    f"{e.watcher}->{e.outcome or 'fired'}" for e in fired
-                ) + "]"
-            print(line, flush=True)
+        runner = ServiceRunner(service, trace, args.chunk, on_chunk=write_health)
+        for sealed in runner:
+            print(_epoch_line(sealed), flush=True)
+        write_health()
 
-        from repro.traffic.packet import PACKET_FIELDS
-        from repro.traffic.trace import Trace
-
-        from repro.service.wal import WalWriteError
-
-        last_printed = -1
-        halted = None
-        terminated = False
-
-        def _on_sigterm(signum, frame):
-            raise GracefulShutdown()
-
-        try:
-            prev_sigterm = signal.signal(signal.SIGTERM, _on_sigterm)
-        except ValueError:  # not the main thread (embedded use)
-            prev_sigterm = None
-        if epoch_wall_ms is not None:
-            service.start()
-        try:
-            chunk = max(1, args.chunk)
-            for start in range(0, len(trace), chunk):
-                piece = Trace(
-                    {f: trace.columns[f][start : start + chunk] for f in PACKET_FIELDS}
-                )
-                for sealed in service.ingest(piece):
-                    # Bump before printing so a SIGTERM landing inside the
-                    # print cannot double-report the epoch from the
-                    # shutdown catch-up loop below.
-                    last_printed = sealed.index
-                    print_epoch(sealed)
-                # Wall-clock epochs seal on the background thread; report
-                # any that landed while this chunk was processing.
-                for sealed in list(service.epochs):
-                    if sealed.index > last_printed:
-                        last_printed = sealed.index
-                        print_epoch(sealed)
-                write_health()
-        except WalWriteError as exc:
-            # --wal-policy fail: storage refused a write.  Stop ingest
-            # cleanly -- every epoch sealed so far is intact and durable.
-            halted = exc
-        except GracefulShutdown:
-            # SIGTERM: stop ingesting, but run the full shutdown path --
-            # seal the tail, flush the WAL.
-            terminated = True
-        finally:
-            if prev_sigterm is not None:
-                signal.signal(signal.SIGTERM, prev_sigterm)
-            if epoch_wall_ms is not None:
-                service.stop(seal_tail=halted is None)
-            elif service._epoch_fill and halted is None:
-                service.rotate()  # seal the ragged tail window
-            for sealed in list(service.epochs):
-                if sealed.index > last_printed:
-                    print_epoch(sealed)
-                    last_printed = sealed.index
-            write_health()
-
-        if halted is not None:
-            stats = service.stats()
+        stats = service.stats()
+        if runner.outcome == "halted":
             print(
-                f"error: {halted}\n"
+                f"error: {runner.error}\n"
                 f"served {stats['packets_total']} packets across "
                 f"{stats['epoch']} epochs before the WAL failure; the log "
                 "is recoverable up to the last sealed epoch",
@@ -1224,9 +1214,7 @@ def cmd_serve(args) -> int:
             if wal is not None:
                 wal.close()
             return 1
-
-        stats = service.stats()
-        if terminated:
+        if runner.outcome == "terminated":
             print(
                 "sigterm: sealed the open window and flushed state before "
                 "exit", flush=True
@@ -1237,8 +1225,7 @@ def cmd_serve(args) -> int:
         )
         if args.checkpoint is not None:
             artifact = service_checkpoint(service)
-            with open(args.checkpoint, "w") as fh:
-                json.dump(artifact, fh)
+            _write_json(args.checkpoint, artifact)
             print(f"checkpoint: {len(artifact['epochs'])} epochs -> {args.checkpoint}")
         if wal is not None:
             wal.close()  # may flush cached epochs via a final reattach
@@ -1271,92 +1258,28 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _build_stream_workload(args):
-    """Trace + service + task refs for the profile/top stream workloads."""
-    from repro.core.controller import FlyMonController, PlacementError
-    from repro.service import (
-        CardinalityQuery,
-        HeavyHitterQuery,
-        MeasurementService,
-        TaskRef,
-    )
-
-    trace = _load_serve_trace(args)
-    controller = FlyMonController(num_groups=3)
-    named = _serve_tasks(
-        [n.strip() for n in args.tasks.split(",") if n.strip()], args.threshold
-    )
-    try:
-        refs = {
-            name: TaskRef(controller.add_task(task)) for name, task in named
-        }
-    except PlacementError as exc:
-        raise ValueError(f"cannot place the task mix ({args.tasks}): {exc}")
-    epoch_packets = args.epoch_size
-    if epoch_packets is None:
-        epoch_packets = max(1, len(trace) // 20)
-    service = MeasurementService(
-        controller,
-        epoch_packets=epoch_packets,
-        retain=16,
-        batch_size=args.batch_size,
-    )
-    if "hh" in refs:
-        service.register_series("heavy_hitters", HeavyHitterQuery(refs["hh"]))
-    if "card" in refs:
-        service.register_series("cardinality", CardinalityQuery(refs["card"]))
-    return trace, service, refs
-
-
-def _iter_chunks(trace, chunk: int):
-    from repro.traffic.packet import PACKET_FIELDS
-    from repro.traffic.trace import Trace
-
-    for start in range(0, len(trace), chunk):
-        yield Trace(
-            {f: trace.columns[f][start : start + chunk] for f in PACKET_FIELDS}
-        )
-
-
 def cmd_profile(args) -> int:
     import json
     import time
 
     from repro import telemetry
+    from repro.service.runner import ServiceRunner
 
     recorder = telemetry.RECORDER
     recorder.clear()
     telemetry.enable_recorder(capacity=args.capacity)
     try:
+        trace = _load_trace(args)
+        service = _build_service(args, trace)
+        t0 = time.perf_counter()
         if args.workload == "batch":
-            from repro.core.controller import FlyMonController, PlacementError
-
-            trace = _load_serve_trace(args)
-            controller = FlyMonController(num_groups=3)
-            try:
-                for _name, task in _serve_tasks(
-                    [n.strip() for n in args.tasks.split(",") if n.strip()],
-                    args.threshold,
-                ):
-                    controller.add_task(task)
-            except (ValueError, PlacementError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            t0 = time.perf_counter()
-            controller.process_trace(trace, batch_size=args.batch_size or 8192)
-            wall_ms = (time.perf_counter() - t0) * 1e3
+            service.controller.process_trace(
+                trace, batch_size=args.batch_size or 8192
+            )
         else:
-            try:
-                trace, service, _refs = _build_stream_workload(args)
-            except (ValueError, FileNotFoundError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            t0 = time.perf_counter()
-            for piece in _iter_chunks(trace, max(1, args.chunk)):
-                service.ingest(piece)
-            if service._epoch_fill:
-                service.rotate()  # seal the ragged tail window
-            wall_ms = (time.perf_counter() - t0) * 1e3
+            for _sealed in ServiceRunner(service, trace, args.chunk):
+                pass
+        wall_ms = (time.perf_counter() - t0) * 1e3
     finally:
         telemetry.disable_recorder()
 
@@ -1399,7 +1322,7 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _top_frame(args, service, done: int, total: int, elapsed_s: float) -> str:
+def _top_frame(service, done: int, total: int, elapsed_s: float) -> str:
     """One rendering of the `repro top` dashboard."""
     stats = service.stats()
     pps = done / elapsed_s if elapsed_s > 0 else 0.0
@@ -1444,46 +1367,26 @@ def _top_frame(args, service, done: int, total: int, elapsed_s: float) -> str:
 def cmd_top(args) -> int:
     import time
 
-    from repro.service import Watcher, fill_factor_metric, resize_action
+    from repro.service.runner import ServiceRunner
 
-    try:
-        trace, service, refs = _build_stream_workload(args)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.watch_fill is not None:
-        if "hh" not in refs:
-            print("error: --watch-fill needs the hh task", file=sys.stderr)
-            return 2
-        service.add_watcher(
-            Watcher(
-                "fill_factor",
-                fill_factor_metric(refs["hh"]),
-                above=args.watch_fill,
-                action=resize_action(refs["hh"]),
-                cooldown_epochs=1,
-            )
-        )
-
+    trace = _load_trace(args)
+    service = _build_service(args, trace)
     clear = not args.no_clear and sys.stdout.isatty()
-    total = len(trace)
-    done = 0
     t0 = time.perf_counter()
-    for piece in _iter_chunks(trace, max(1, args.chunk)):
-        service.ingest(piece)
-        done += len(piece)
-        frame = _top_frame(args, service, done, total, time.perf_counter() - t0)
+
+    def show(last: bool = False) -> None:
+        frame = _top_frame(
+            service, runner.done, len(trace), time.perf_counter() - t0
+        )
         if clear:
             print("\x1b[2J\x1b[H" + frame, flush=True)
         else:
-            print(frame + "\n", flush=True)
-    if service._epoch_fill:
-        service.rotate()
-    frame = _top_frame(args, service, done, total, time.perf_counter() - t0)
-    if clear:
-        print("\x1b[2J\x1b[H" + frame, flush=True)
-    else:
-        print(frame, flush=True)
+            print(frame if last else frame + "\n", flush=True)
+
+    runner = ServiceRunner(service, trace, args.chunk, on_chunk=show)
+    for _sealed in runner:
+        pass
+    show(last=True)
     stats = service.stats()
     print(
         f"\nserved {stats['packets_total']:,} packets across "
@@ -1533,15 +1436,70 @@ def cmd_bench_compare(args) -> int:
     return 0 if report.ok else 1
 
 
-def _parse_flow(spec: str) -> tuple:
-    def part(p: str) -> int:
-        p = p.strip()
-        if p.count(".") == 3:
-            a, b, c, d = (int(x) for x in p.split("."))
-            return (a << 24) | (b << 16) | (c << 8) | d
-        return int(p, 0)
+def _parse_flow(spec: str, key) -> tuple:
+    """``--flow`` against a task's key (its ``(field, bits)`` parts): one
+    comma-separated field per part, each a dotted quad or an integer that
+    fits the part's width."""
+    fields = [part.strip() for part in spec.split(",")]
+    if len(fields) != len(key):
+        names = "+".join(name for name, _bits in key)
+        raise CliError(
+            f"--flow {spec!r} has {len(fields)} field(s); the task's key "
+            f"({names}) has {len(key)}"
+        )
+    flow = []
+    for text, (name, bits) in zip(fields, key):
+        parts = text.split(".")
+        try:
+            octets = [int(p, 10) for p in parts] if len(parts) == 4 else None
+            value = int(text, 0) if len(parts) == 1 else None
+        except ValueError:
+            octets = value = None
+        if octets is not None:
+            if not all(0 <= octet <= 255 for octet in octets):
+                raise CliError(
+                    f"--flow field {text!r} has an octet outside 0-255"
+                )
+            a, b, c, d = octets
+            value = (a << 24) | (b << 16) | (c << 8) | d
+        if value is None:
+            raise CliError(
+                f"--flow field {text!r} is not a dotted quad or an integer"
+            )
+        if not 0 <= value < 1 << bits:
+            raise CliError(
+                f"--flow field {text!r} does not fit {name} ({bits} bits)"
+            )
+        flow.append(value)
+    return tuple(flow)
 
-    return tuple(part(p) for p in spec.split(","))
+
+def _build_query(kind: str, handle, key, flow: Optional[str], threshold=None):
+    """The typed query ``--query kind`` names, against ``handle`` (whose
+    task has flow key ``key``); point queries parse ``--flow``."""
+    from repro.service import (
+        CardinalityQuery,
+        EntropyQuery,
+        ExistenceQuery,
+        FrequencyQuery,
+        HeavyHitterQuery,
+        InterArrivalQuery,
+    )
+
+    point = {
+        "frequency": FrequencyQuery,
+        "existence": ExistenceQuery,
+        "interarrival": InterArrivalQuery,
+    }.get(kind)
+    if point is not None:
+        if flow is None:
+            raise CliError(f"--query {kind} needs --flow")
+        return point(handle, _parse_flow(flow, key))
+    if kind == "heavy-hitters":
+        return HeavyHitterQuery(handle, threshold=threshold)
+    return {"cardinality": CardinalityQuery, "entropy": EntropyQuery}[kind](
+        handle
+    )
 
 
 def _format_flow(flow) -> str:
@@ -1557,12 +1515,6 @@ def cmd_query(args) -> int:
     import json
 
     from repro.service import (
-        CardinalityQuery,
-        EntropyQuery,
-        ExistenceQuery,
-        FrequencyQuery,
-        HeavyHitterQuery,
-        InterArrivalQuery,
         StaleEpochError,
         UnsupportedQueryError,
         load_service_state,
@@ -1572,16 +1524,13 @@ def cmd_query(args) -> int:
         with open(args.input) as fh:
             artifact = json.load(fh)
     except FileNotFoundError:
-        print(f"error: no artifact at {args.input}", file=sys.stderr)
-        return 2
+        raise CliError(f"no artifact at {args.input}")
     except json.JSONDecodeError as exc:
-        print(f"error: {args.input} is not valid JSON: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(f"{args.input} is not valid JSON: {exc}")
     try:
         restored = load_service_state(artifact)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc))
 
     if args.list or args.query_kind is None:
         print(f"{'index':<6} {'algorithm':<18} key")
@@ -1599,50 +1548,30 @@ def cmd_query(args) -> int:
         return 0
 
     if args.query_kind == "series":
-        name = args.series
-        if name is None:
-            print("error: --query series needs --series NAME", file=sys.stderr)
-            return 2
+        if args.series is None:
+            raise CliError("--query series needs --series NAME")
         try:
-            for index, value in restored.series(name):
+            for index, value in restored.series(args.series):
                 print(f"{index:>4}  {value}")
         except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+            raise CliError(exc.args[0])
         return 0
 
-    try:
-        handle = restored.tasks[args.task]
-    except IndexError:
-        print(
-            f"error: no task index {args.task} (artifact has "
-            f"{len(restored.tasks)})",
-            file=sys.stderr,
+    if not 0 <= args.task < len(restored.tasks):
+        raise CliError(
+            f"no task index {args.task} (artifact has {len(restored.tasks)})"
         )
-        return 2
-    needs_flow = args.query_kind in ("frequency", "existence", "interarrival")
-    flow = None
-    if needs_flow:
-        if args.flow is None:
-            print(
-                f"error: --query {args.query_kind} needs --flow",
-                file=sys.stderr,
-            )
-            return 2
-        flow = _parse_flow(args.flow)
-    queries = {
-        "cardinality": lambda: CardinalityQuery(handle),
-        "entropy": lambda: EntropyQuery(handle),
-        "heavy-hitters": lambda: HeavyHitterQuery(handle, threshold=args.threshold),
-        "frequency": lambda: FrequencyQuery(handle, flow),
-        "existence": lambda: ExistenceQuery(handle, flow),
-        "interarrival": lambda: InterArrivalQuery(handle, flow),
-    }
+    query = _build_query(
+        args.query_kind,
+        restored.tasks[args.task],
+        restored.task_info[args.task]["key"],
+        args.flow,
+        threshold=args.threshold,
+    )
     try:
-        result = restored.query(queries[args.query_kind](), epoch=args.epoch)
+        result = restored.query(query, epoch=args.epoch)
     except (StaleEpochError, UnsupportedQueryError) as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return 2
+        raise CliError(exc.args[0] if exc.args else exc)
     if isinstance(result, (set, frozenset)):
         print(f"{len(result)} heavy hitter(s)")
         for item in sorted(result):
@@ -1653,18 +1582,14 @@ def cmd_query(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    import json
-
     from repro.service.wal import WalError, recover_service_artifact
 
     try:
         artifact = recover_service_artifact(args.wal)
     except FileNotFoundError:
-        print(f"error: no WAL at {args.wal}", file=sys.stderr)
-        return 2
+        raise CliError(f"no WAL at {args.wal}")
     except WalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc))
     stats = artifact["stats"]
     print(
         f"recovered {stats['epochs_recovered']} epoch(s) from "
@@ -1684,18 +1609,9 @@ def cmd_recover(args) -> int:
             f"({last['packets']} pkts, {len(last['tasks'])} task(s))"
         )
     if args.output is not None:
-        with open(args.output, "w") as fh:
-            json.dump(artifact, fh)
+        _write_json(args.output, artifact)
         print(f"artifact -> {args.output}")
     return 0
-
-
-def _fabric_topology(args):
-    from repro.fabric import FabricTopology
-
-    if getattr(args, "topology", None):
-        return FabricTopology.load(args.topology)
-    return FabricTopology.preset(args.switches)
 
 
 def _fabric_trace(args, topology):
@@ -1729,142 +1645,99 @@ def _fabric_trace(args, topology):
     return Trace.concatenate(parts).sorted_by_time()
 
 
-def _fabric_build(args):
-    """Topology + fabric service + deployed task presets."""
-    from repro.fabric import FabricPlacementError, FabricService
+def _build_fabric(args):
+    """Topology + fabric service with the presets deployed (:func:`_deploy`;
+    only ``fabric serve`` prints series)."""
+    from repro.fabric import FabricService, FabricTopology
 
-    topology = _fabric_topology(args)
-    epoch_size = getattr(args, "epoch_size", None)
+    try:
+        if args.topology:
+            topology = FabricTopology.load(args.topology)
+        else:
+            topology = FabricTopology.preset(args.switches)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"bad topology: {exc}")
+    epoch_size = getattr(args, "epoch_size", None)  # status has no traffic
     if epoch_size is None:
         epoch_size = max(1, getattr(args, "packets", 40_000) // 8)
-    fabric = FabricService(topology, epoch_packets=epoch_size)
-    named = _serve_tasks(
-        [n.strip() for n in args.tasks.split(",") if n.strip()],
-        args.threshold,
-    )
-    handles = {}
-    for name, task in named:
-        try:
-            handles[name] = fabric.deploy(task)
-        except FabricPlacementError as exc:
-            print(f"error: cannot place {name!r}: {exc}", file=sys.stderr)
-            raise
+    try:
+        fabric = FabricService(topology, epoch_packets=epoch_size)
+    except ValueError as exc:
+        raise CliError(str(exc))
+    handles = _deploy(args, fabric, series=args.fabric_command == "serve")
     return topology, fabric, handles
 
 
-def _print_placements(handles) -> None:
-    for name, fh in handles.items():
-        merge = "mergeable" if fh.mergeable else "single-host"
-        print(
-            f"  {name}: task {fh.task_id} -> {', '.join(fh.hosts)} "
-            f"({fh.layer} layer, {merge})"
-        )
+#: ``fabric query`` kind -> the preset that answers it.
+FABRIC_QUERY_PRESETS = {
+    "frequency": "hh",
+    "heavy-hitters": "hh",
+    "cardinality": "card",
+    "entropy": "entropy",
+    "existence": "existence",
+}
 
 
 def cmd_fabric(args) -> int:
     import json
 
     from repro import telemetry
-    from repro.service import (
-        CardinalityQuery,
-        EntropyQuery,
-        ExistenceQuery,
-        FrequencyQuery,
-        HeavyHitterQuery,
-    )
-    from repro.traffic.packet import PACKET_FIELDS
-    from repro.traffic.trace import Trace
+    from repro.service import StaleEpochError, UnsupportedQueryError
+    from repro.service.runner import ServiceRunner
 
+    topology, fabric, handles = _build_fabric(args)
+    telemetry_path = getattr(args, "telemetry", None)  # fabric serve only
     try:
-        topology, fabric, handles = _fabric_build(args)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"fabric: {topology.describe()}")
-    _print_placements(handles)
-
-    if args.fabric_command == "status":
-        status = fabric.status()
-        if args.json:
-            print(json.dumps(status, indent=2, default=str))
-        else:
-            print(f"status: {status['status']}")
-            for name, health in status["members"].items():
-                print(f"  {name}: {health['status']}")
-        fabric.stop()
-        return 0
-
-    if getattr(args, "telemetry", None) is not None:
-        telemetry.reset()
-        telemetry.enable()
-    try:
-        if args.fabric_command == "serve":
-            if "hh" in handles:
-                fabric.register_series(
-                    "heavy_hitters", HeavyHitterQuery(handles["hh"])
-                )
-            if "card" in handles:
-                fabric.register_series(
-                    "cardinality", CardinalityQuery(handles["card"])
-                )
-            if "entropy" in handles:
-                fabric.register_series("entropy", EntropyQuery(handles["entropy"]))
-
-        trace = _fabric_trace(args, topology)
-
-        def print_epoch(sealed) -> None:
-            line = f"epoch {sealed.index:>3}: {sealed.packets:>7} pkts merged"
-            for name in sorted(sealed.outputs):
-                value = sealed.outputs[name]
-                if isinstance(value, float):
-                    line += f"  {name}={value:.1f}"
-                elif isinstance(value, (set, frozenset, list)):
-                    line += f"  {name}={len(value)}"
-                else:
-                    line += f"  {name}={value}"
-            degraded = getattr(sealed, "degraded", None)
-            if degraded:
-                line += f"  [degraded: {', '.join(degraded)}]"
-            print(line, flush=True)
-
-        chunk = max(1, args.chunk)
-        for start in range(0, len(trace), chunk):
-            piece = Trace(
-                {f: trace.columns[f][start : start + chunk] for f in PACKET_FIELDS}
-            )
-            for sealed in fabric.ingest(piece):
-                print_epoch(sealed)
-        if fabric._epoch_fill:
-            print_epoch(fabric.rotate())
-
+        query = None
         if args.fabric_command == "query":
-            kind = args.query_kind
-            flow = _parse_flow(args.flow) if args.flow else None
-            if kind in ("frequency", "existence") and flow is None:
-                print(f"error: --query {kind} needs --flow", file=sys.stderr)
-                return 2
-            targets = {
-                "frequency": ("hh", lambda h: FrequencyQuery(h, flow)),
-                "heavy-hitters": ("hh", lambda h: HeavyHitterQuery(h)),
-                "cardinality": ("card", CardinalityQuery),
-                "entropy": ("entropy", EntropyQuery),
-                "existence": ("existence", lambda h: ExistenceQuery(h, flow)),
-            }
-            preset, make = targets[kind]
+            # Checked before any traffic flows: a bad --flow or a missing
+            # preset costs nothing.
+            preset = FABRIC_QUERY_PRESETS[args.query_kind]
             if preset not in handles:
-                print(
-                    f"error: --query {kind} needs the {preset!r} task preset "
-                    f"(got --tasks {args.tasks})",
-                    file=sys.stderr,
+                raise CliError(
+                    f"--query {args.query_kind} needs the {preset!r} task "
+                    f"preset (got --tasks {args.tasks})"
                 )
-                return 2
-            result = fabric.query(make(handles[preset]), epoch=args.epoch)
+            handle = handles[preset]
+            query = _build_query(
+                args.query_kind, handle, handle.task.key.parts, args.flow
+            )
+
+        print(f"fabric: {topology.describe()}")
+        for name, fh in handles.items():
+            merge = "mergeable" if fh.mergeable else "single-host"
+            print(
+                f"  {name}: task {fh.task_id} -> {', '.join(fh.hosts)} "
+                f"({fh.layer} layer, {merge})"
+            )
+        if args.fabric_command == "status":
+            status = fabric.status()
+            if args.json:
+                print(json.dumps(status, indent=2, default=str))
+            else:
+                print(f"status: {status['status']}")
+                for name, health in status["members"].items():
+                    print(f"  {name}: {health['status']}")
+            return 0
+
+        if telemetry_path is not None:
+            telemetry.reset()
+            telemetry.enable()
+        trace = _fabric_trace(args, topology)
+        for sealed in ServiceRunner(fabric, trace, args.chunk):
+            print(_epoch_line(sealed, merged=True), flush=True)
+
+        if query is not None:
+            try:
+                result = fabric.query(query, epoch=args.epoch)
+            except (StaleEpochError, UnsupportedQueryError) as exc:
+                raise CliError(exc.args[0] if exc.args else exc)
             if isinstance(result, (set, frozenset)):
                 for f in sorted(result):
                     print(f"  {_format_flow(f)}")
-                print(f"{kind}: {len(result)} flows")
+                print(f"{args.query_kind}: {len(result)} flows")
             else:
-                print(f"{kind}: {result}")
+                print(f"{args.query_kind}: {result}")
 
         stats = fabric.stats()
         print(
@@ -1872,21 +1745,19 @@ def cmd_fabric(args) -> int:
             f"{stats['epoch']} epochs on {stats['switches']} switches"
         )
         if getattr(args, "status_out", None) is not None:
-            tmp = args.status_out + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump(fabric.status(), fh, default=str)
-            os.replace(tmp, args.status_out)
+            _write_json(args.status_out, fabric.status(), atomic=True)
             print(f"status -> {args.status_out}")
-        if getattr(args, "telemetry", None) is not None:
+        if telemetry_path is not None:
             snapshot = telemetry.write_artifact(
-                args.telemetry, meta={"command": "fabric"}
+                telemetry_path, meta={"command": "fabric"}
             )
             print(
-                f"telemetry: {len(snapshot['events'])} events -> {args.telemetry}"
+                f"telemetry: {len(snapshot['events'])} events -> "
+                f"{telemetry_path}"
             )
     finally:
         fabric.stop()
-        if getattr(args, "telemetry", None) is not None:
+        if telemetry_path is not None:
             telemetry.disable()
     return 0
 
@@ -1912,6 +1783,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        return _dispatch(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "list-algorithms":
         return cmd_list_algorithms()
     if args.command == "list-experiments":

@@ -23,7 +23,10 @@ stream-monitoring abstraction):
   checkpoint-format artifact after a crash (``repro recover``);
 * :mod:`repro.service.epoch_codec` -- the binary, checksummed frame those
   records are: a sealed epoch is encoded once, in native-width cells, and
-  moved verbatim from then on.
+  moved verbatim from then on;
+* :mod:`repro.service.runner` -- :class:`ServiceRunner`, the chunk loop
+  the CLI drives a service (or a fabric) with: each sealed epoch once,
+  SIGTERM, WAL halt, tail seal.
 """
 
 from repro.service.engine import (

@@ -49,6 +49,18 @@ class TestServe:
         assert main(["serve", "--packets", "100", "--tasks", "bogus"]) != 0
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--packets", "100", "--epoch-size", "0"],
+            ["serve", "--packets", "100", "--retain", "0"],
+            ["fabric", "serve", "--packets", "100", "--epoch-size", "0"],
+        ],
+    )
+    def test_bad_rotation_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        assert "must be positive" in capsys.readouterr().err
+
     def test_serve_with_watch_fill_resizes(self, tmp_path, capsys):
         path = tmp_path / "resized.json"
         rc = main(
@@ -116,6 +128,40 @@ class TestQuery:
         out = capsys.readouterr().out
         assert out.strip()
 
+    @pytest.mark.parametrize(
+        "flow, complaint",
+        [
+            ("10.0.0.x", "not a dotted quad or an integer"),
+            ("10.0.0.300", "octet outside 0-255"),
+            ("10.0.1", "not a dotted quad or an integer"),
+            ("-5", "does not fit src_ip"),
+            ("10.0.0.7,443", "has 2 field(s)"),
+        ],
+    )
+    def test_bad_flow_is_a_usage_error(self, artifact, capsys, flow, complaint):
+        path, _ = artifact
+        rc = main(
+            ["query", "--input", str(path), "--query", "frequency",
+             "--flow", flow]
+        )
+        assert rc == 2
+        assert complaint in capsys.readouterr().err
+
+    def test_flow_arity_follows_the_task_key(self, artifact, capsys):
+        path, _ = artifact
+        # task 1 is hll over the 5-tuple: five fields parse, one does not
+        # (and hll has no point query, which is the next complaint).
+        assert main(
+            ["query", "--input", str(path), "--task", "1", "--query",
+             "frequency", "--flow", "10.0.0.7"]
+        ) == 2
+        assert "has 5" in capsys.readouterr().err
+        assert main(
+            ["query", "--input", str(path), "--task", "1", "--query",
+             "frequency", "--flow", "10.0.0.7,10.0.0.8,1024,80,6"]
+        ) == 2
+        assert "no point-frequency query" in capsys.readouterr().err
+
     def test_tampered_artifact_is_rejected(self, artifact, capsys):
         path, _ = artifact
         state = json.loads(path.read_text())
@@ -123,3 +169,28 @@ class TestQuery:
         path.write_text(json.dumps(state))
         assert main(["query", "--input", str(path), "--list"]) == 2
         assert "placement" in capsys.readouterr().err
+
+
+class TestFabricQuery:
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            (["--query", "frequency"], "needs --flow"),
+            (["--query", "frequency", "--flow", "10.0.0.300"], "octet"),
+            (["--query", "existence", "--flow", "10.0.0.7"], "'existence'"),
+        ],
+    )
+    def test_rejected_before_any_traffic(self, capsys, argv, complaint):
+        rc = main(["fabric", "query", "--switches", "2", *argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert complaint in captured.err
+        assert "epoch" not in captured.out  # nothing was ingested
+
+    def test_unretained_epoch_is_a_usage_error(self, capsys):
+        rc = main(
+            ["fabric", "query", "--switches", "2", "--packets", "4000",
+             "--query", "cardinality", "--epoch", "99"]
+        )
+        assert rc == 2
+        assert "not retained" in capsys.readouterr().err

@@ -279,7 +279,6 @@ class TestKillNineRecovery:
             assert entry == by_index[entry["index"]]
         # Placement parity: recovered deployments sit exactly where the
         # reference run's do.
-        ref_tasks = json.loads(ref_ckpt.read_text())["tasks"]
         assert [t["placement"] for t in recovered["tasks"]] == [
-            t["placement"] for t in ref_tasks
+            t["placement"] for t in reference["tasks"]
         ]
